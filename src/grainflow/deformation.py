@@ -450,11 +450,11 @@ def relax_kink(net: LabeledNetwork, vertex, prev, nxt, j):
 # ---- greedy pass ----------------------------------------------------------------
 
 
-def _supports_disjoint(move, accepted):
+def _supports_disjoint(move, accepted, domain):
     for m in accepted:
         if m.is_identity:
             continue
-        gap = np.linalg.norm(np.asarray(move.center) - np.asarray(m.center))
+        gap = domain.distance(move.center, m.center)  # minimum image on the torus
         if gap <= move.radius + m.radius:
             return False
     return True
@@ -480,7 +480,7 @@ def lipschitz_step(net: LabeledNetwork, j, omega: WeightFunction = None):
         move = outcome.accepted_moves[0]
         if move.is_identity:
             return False
-        if not _supports_disjoint(move, accepted):
+        if not _supports_disjoint(move, accepted, net.domain):
             return False
         ok = verify_admissible(current, outcome.network, move, j, omega)
         if not ok.accepted:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformation import length_in_ball
+from .network import slab_sweep
 from .varifold import build_varifold_view, weighted_first_variation_of_field
 
 OMEGA_1 = 2.0  # volume of the unit 1-ball
@@ -146,18 +147,14 @@ def density_ratio_scan(net, radii, points=None, s=1.0, tol=1e-9):
 # ---- grain-area Holder modulus ---------------------------------------------------
 
 
-def _membership(net, label, pts):
-    from .network import label_at_points
-    return label_at_points(net, pts) == label
-
-
 def symmetric_difference_area(net_a, net_b, label, window_center=None,
                               window_radius=None, coarse=0.02, fine_factor=8):
     """Area of the label's region symmetric difference between two frames.
 
     Two-level grid: coarse cells whose centers sit farther from both carriers
     than the cell diagonal are classified wholesale; cells near either
-    boundary are refined fine_factor x fine_factor.
+    boundary are refined fine_factor x fine_factor.  Each frame's slab sweep
+    is built once and locates every sample point.
     """
     from scipy.spatial import cKDTree
     dom = net_a.domain
@@ -196,12 +193,15 @@ def symmetric_difference_area(net_a, net_b, label, window_center=None,
     dist, _ = tree.query(q, k=1, distance_upper_bound=2.0 * diag)
     far = ~np.isfinite(dist)
 
+    sweep_a, sweep_b = slab_sweep(net_a), slab_sweep(net_b)
+
+    def xor(pts):
+        return (sweep_a.labels(pts) == label) != (sweep_b.labels(pts) == label)
+
     area = 0.0
     cell = sx * sy
     if np.any(far):
-        xor_far = (_membership(net_a, label, centers[far])
-                   != _membership(net_b, label, centers[far]))
-        area += cell * float(np.sum(xor_far))
+        area += cell * float(np.sum(xor(centers[far])))
     near = centers[~far]
     if len(near):
         f = fine_factor
@@ -209,8 +209,7 @@ def symmetric_difference_area(net_a, net_b, label, window_center=None,
         sub = np.stack(np.meshgrid(ox * sx, ox * sy, indexing="ij"),
                        axis=-1).reshape(-1, 2)
         pts = (near[:, None, :] + sub[None, :, :]).reshape(-1, 2)
-        xor = (_membership(net_a, label, pts) != _membership(net_b, label, pts))
-        area += (cell / (f * f)) * float(np.sum(xor))
+        area += (cell / (f * f)) * float(np.sum(xor(pts)))
     return area
 
 

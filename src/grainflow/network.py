@@ -269,7 +269,111 @@ def validate_partition(net: LabeledNetwork):
     return ValidationReport(v)
 
 
-# ---- region areas (vertical slab sweep) --------------------------------------
+# ---- vertical slab sweep: region areas and point location --------------------
+
+
+@dataclass
+class SlabSweep:
+    """Vertical slabs between consecutive segment endpoint x values.
+
+    Segments run left to right (on the torus split at x=1).  The segments
+    crossing slab k's open interior are `seg[start[k]:start[k+1]]`, sorted by
+    height `ym` at the slab midpoint (mod 1 on the torus), an order that holds
+    across the open slab since segments never cross."""
+    net: LabeledNetwork
+    a: np.ndarray  # (S, 2) oriented segment starts
+    b: np.ndarray  # (S, 2) oriented segment ends
+    above: np.ndarray
+    below: np.ndarray
+    xs: np.ndarray  # slab k is [xs[k], xs[k+1]]
+    start: np.ndarray
+    seg: np.ndarray
+    ym: np.ndarray
+
+    def labels(self, points):
+        """Label of each point's region; see label_at_points."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        out = np.ones(len(points), dtype=int)
+        if len(self.a) == 0:
+            return out
+        dom = self.net.domain
+        x, y = points[:, 0], points[:, 1]
+        if dom.periodic:
+            x, y = np.mod(x, 1.0), np.mod(y, 1.0)
+        k = np.clip(np.searchsorted(self.xs, x, side="right") - 1,
+                    0, len(self.xs) - 2)
+        n = self.start[k + 1] - self.start[k]
+        hit = np.nonzero(n > 0)[0]
+        if len(hit):
+            # each point's slab crossings, padded to the widest such slab
+            slot = np.arange(n[hit].max())
+            valid = slot[None, :] < n[hit, None]
+            s = self.seg[np.where(valid, self.start[k[hit], None] + slot, 0)]
+            a, b = self.a[s], self.b[s]
+            t = (x[hit, None] - a[..., 0]) / (b[..., 0] - a[..., 0])
+            yc = a[..., 1] + t * (b[..., 1] - a[..., 1])
+            gap = y[hit, None] - yc
+            if dom.periodic:
+                gap = np.mod(gap, 1.0)
+            gap = np.where(valid & (gap >= 0.0), gap, np.inf)
+            rows, pick = np.arange(len(hit)), np.argmin(gap, axis=1)
+            lab = self.above[s[rows, pick]]
+            if not dom.periodic:  # below every crossing: the lowest one's
+                low = np.argmin(np.where(valid, yc, np.inf), axis=1)
+                lab = np.where(np.isfinite(gap[rows, pick]), lab,
+                               self.below[s[rows, low]])
+            out[hit] = lab
+        # an uncovered slab is one region: locate it once at a probe point
+        empty = np.unique(k[n == 0])
+        if len(empty):
+            y_mid = 0.5 if dom.periodic else 0.5 * (dom.bbox[1] + dom.bbox[3])
+            xm = 0.5 * (self.xs[empty] + self.xs[empty + 1])
+            probe = _nearest_boundary_labels(
+                self.net, np.column_stack([xm, np.full_like(xm, y_mid)]))
+            out[n == 0] = probe[np.searchsorted(empty, k[n == 0])]
+        return out
+
+
+def slab_sweep(net: LabeledNetwork):
+    """Build the SlabSweep of a network in one vectorised pass."""
+    p0, p1, _, lefts, rights = net.segment_arrays()
+    flip = p1[:, 0] < p0[:, 0]
+    a = np.where(flip[:, None], p1, p0)
+    b = np.where(flip[:, None], p0, p1)
+    above = np.where(flip, rights, lefts)
+    below = np.where(flip, lefts, rights)
+    if net.domain.periodic:
+        # shift each segment so its left end is in [0,1), then split any
+        # piece that pokes over x=1; each second piece follows its first
+        sx = np.floor(a[:, 0])
+        a[:, 0] -= sx
+        b[:, 0] -= sx
+        cut = np.nonzero((b[:, 0] > 1.0 + 1e-15) & (b[:, 0] - 1.0 > 1e-15))[0]
+        t = (1.0 - a[cut, 0]) / (b[cut, 0] - a[cut, 0])
+        m = a[cut] + t[:, None] * (b[cut] - a[cut])
+        a2, b2 = m - [1.0, 0.0], b[cut] - [1.0, 0.0]
+        b[cut] = m
+        order = np.argsort(np.r_[np.arange(len(a)), cut], kind="stable")
+        a, b, above, below = (np.concatenate(pair)[order] for pair in (
+            (a, a2), (b, b2), (above, above[cut]), (below, below[cut])))
+        xs = np.unique(np.concatenate([[0.0, 1.0], a[:, 0], b[:, 0]]))
+        xs = xs[(xs >= -1e-15) & (xs <= 1.0 + 1e-15)]
+    else:
+        x0, _, x1, _ = net.domain.bbox
+        xs = np.unique(np.concatenate([[x0, x1], a[:, 0], b[:, 0]]))
+    xm = 0.5 * (xs[:-1] + xs[1:])
+    # segment i covers the slabs whose midpoint lies strictly inside it
+    lo = np.searchsorted(xm, a[:, 0], side="right")
+    cnt = np.maximum(np.searchsorted(xm, b[:, 0], side="left") - lo, 0)
+    seg = np.repeat(np.arange(len(a)), cnt)
+    slab = np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(len(seg))
+    t = (xm[slab] - a[seg, 0]) / (b[seg, 0] - a[seg, 0])
+    ym = a[seg, 1] + t * (b[seg, 1] - a[seg, 1])
+    if net.domain.periodic:
+        ym = np.mod(ym, 1.0)
+    order = np.lexsort((ym, slab))  # stable: ties keep segment order
+    start = np.r_[0, np.cumsum(np.bincount(slab, minlength=len(xm)))]
+    return SlabSweep(net, a, b, above, below, xs, start, seg[order], ym[order])
 
 
 @dataclass
@@ -284,125 +388,65 @@ class UnboundedRegionError(RuntimeError):
 
 
 def region_areas(net: LabeledNetwork, allow_infinite=True):
-    """Exact per-label areas by trapezoid sweep over vertical slabs.
+    """Exact per-label areas by trapezoids over slab_sweep's slabs.
 
-    Within a slab every covering segment is linear; consecutive crossings in y
-    bound a constant-label trapezoid.  On the torus the crossing order is
-    cyclic in y mod 1 and the slabs tile [0,1).  In the plane the strips below
-    the lowest and above the highest crossing (and slabs with no crossings)
-    belong to unbounded regions; they are clipped to the bounding box and the
-    labels are flagged infinite.
+    label_at_points locates points with the same sweep.  Within a slab
+    consecutive crossings in y bound a constant-label trapezoid.  On the torus
+    the crossing order is cyclic in y mod 1 and the slabs tile [0,1).  In the
+    plane the strips below the lowest and above the highest crossing belong to
+    unbounded regions; they are clipped to the bounding box and their labels
+    flagged infinite.  Slabs without crossings, and gaps whose two labels
+    disagree, go to `residual`.
     """
     dom = net.domain
-    p0, p1, _, lefts, rights = net.segment_arrays()
-    areas = {lab: 0.0 for lab in range(1, net.n_labels + 1)}
-    residual = 0.0
+    sw = slab_sweep(net)
+    if len(sw.a) == 0 and net.n_labels == 1:
+        return RegionAreaTable({1: dom.area}, 0.0, set())
+    w = np.diff(sw.xs)
+    first, stop = sw.start[:-1], sw.start[1:]
+    ks = np.repeat(np.arange(len(w)), stop - first)  # slab of each crossing
+    rank = np.arange(len(ks)) - first[ks]
+    last = rank == (stop - first - 1)[ks]
+    up, dn, y = sw.above[sw.seg], sw.below[sw.seg], sw.ym
+    # the gap above each crossing, up to the next (cyclically on the torus)
+    nxt = np.where(last, first[ks], np.arange(len(ks)) + 1)
+    gap = np.where(last, 1.0 - y + y[nxt], y[nxt] - y)
+    j = np.arange(len(ks)) if dom.periodic else np.nonzero(~last)[0]
+    lab = np.where(up[j] == dn[nxt[j]], up[j], 0)  # label 0: residual
+    empty = np.nonzero(stop == first)[0]
     infinite = set()
-
-    if len(p0) == 0:
-        if net.n_labels == 1:
-            areas[1] = dom.area
-        else:
-            residual = dom.area
-        return RegionAreaTable(areas, residual, infinite)
-
+    # terms (slab, position in slab, label, area) in the per-slab loop order
     if dom.periodic:
-        # shift each segment so its left endpoint is in [0,1), then split any
-        # piece that pokes over an x-integer boundary
-        segs = []
-        for a, b, L, R in zip(p0, p1, lefts, rights):
-            if b[0] < a[0]:
-                a, b, L, R = b, a, R, L  # orient left-to-right in x
-            sx = np.floor(a[0])
-            a = a - [sx, 0.0]
-            b = b - [sx, 0.0]
-            if b[0] > 1.0 + 1e-15 and b[0] - 1.0 > 1e-15:
-                t = (1.0 - a[0]) / (b[0] - a[0])
-                m = a + t * (b - a)
-                segs.append((a, m, L, R))
-                segs.append((m - [1.0, 0.0], b - [1.0, 0.0], L, R))
-            else:
-                segs.append((a, b, L, R))
-        xs = np.unique(np.concatenate(
-            [[0.0, 1.0]] + [[s[0][0], s[1][0]] for s in segs]))
-        xs = xs[(xs >= -1e-15) & (xs <= 1.0 + 1e-15)]
-        y_lo, y_hi = None, None
+        terms = [(ks[j], rank[j], lab, w[ks[j]] * gap[j]),
+                 (empty, 0, 0, w[empty])]
     else:
-        segs = []
-        for a, b, L, R in zip(p0, p1, lefts, rights):
-            if b[0] < a[0]:
-                a, b, L, R = b, a, R, L
-            segs.append((a, b, L, R))
-        x0, y_lo, x1, y_hi = net.domain.bbox
-        xs = np.unique(np.concatenate(
-            [[x0, x1]] + [[s[0][0], s[1][0]] for s in segs]))
-
-    seg_a = np.array([s[0] for s in segs])
-    seg_b = np.array([s[1] for s in segs])
-    seg_L = np.array([s[2] for s in segs])
-    seg_R = np.array([s[3] for s in segs])
-
-    for xl, xr in zip(xs[:-1], xs[1:]):
-        w = xr - xl
-        if w <= 1e-15:
-            continue
-        xm = 0.5 * (xl + xr)
-        cover = (seg_a[:, 0] < xm) & (seg_b[:, 0] > xm)
-        idx = np.nonzero(cover)[0]
-        if len(idx) == 0:
-            if dom.periodic:
-                residual += w  # no information in this strip
-            else:
-                residual += w * (y_hi - y_lo)
-            continue
-        a = seg_a[idx]
-        b = seg_b[idx]
-        t = (xm - a[:, 0]) / (b[:, 0] - a[:, 0])
-        ym = a[:, 1] + t * (b[:, 1] - a[:, 1])
-        above = np.where(True, seg_L[idx], 0)  # dx > 0 by orientation
-        below = seg_R[idx]
-        if dom.periodic:
-            ym = np.mod(ym, 1.0)
-            order = np.argsort(ym, kind="stable")
-            k = len(order)
-            for q in range(k):
-                lo = order[q]
-                hi = order[(q + 1) % k]
-                gap = ym[hi] - ym[lo] if q + 1 < k else (1.0 - ym[lo] + ym[hi])
-                lab_lo, lab_hi = above[lo], below[hi]
-                if lab_lo == lab_hi:
-                    areas[int(lab_lo)] += w * gap
-                else:
-                    residual += w * gap
-        else:
-            order = np.argsort(ym, kind="stable")
-            k = len(order)
-            lo0 = order[0]
-            hi0 = order[-1]
-            infinite.add(int(below[lo0]))
-            infinite.add(int(above[hi0]))
-            areas[int(below[lo0])] += w * max(0.0, ym[lo0] - y_lo)
-            areas[int(above[hi0])] += w * max(0.0, y_hi - ym[hi0])
-            for q in range(k - 1):
-                lo = order[q]
-                hi = order[q + 1]
-                gap = ym[hi] - ym[lo]
-                lab_lo, lab_hi = above[lo], below[hi]
-                if lab_lo == lab_hi:
-                    areas[int(lab_lo)] += w * gap
-                else:
-                    residual += w * gap
-
+        _, y_lo, _, y_hi = dom.bbox
+        full = np.nonzero(stop > first)[0]
+        bot, top = first[full], stop[full] - 1
+        terms = [(full, 0, dn[bot], w[full] * np.maximum(0.0, y[bot] - y_lo)),
+                 (full, 1, up[top], w[full] * np.maximum(0.0, y_hi - y[top])),
+                 (ks[j], 2 + rank[j], lab, w[ks[j]] * gap[j]),
+                 (empty, 0, 0, w[empty] * (y_hi - y_lo))]
+        live = w[full] > 1e-15
+        infinite = {int(v) for v in np.concatenate([dn[bot[live]],
+                                                    up[top[live]]])}
+    slab, pos, lab, val = (np.concatenate(
+        [np.broadcast_to(term[i], np.shape(term[0])) for term in terms])
+        for i in range(4))
+    # summing slab by slab in that order keeps the areas bit-identical to
+    # the loop; slabs of width <= 1e-15 carry no area
+    keep = w[slab] > 1e-15
+    order = np.lexsort((pos[keep], slab[keep]))
+    sums = np.bincount(lab[keep][order], weights=val[keep][order],
+                       minlength=net.n_labels + 1)
     if infinite and not allow_infinite:
         raise UnboundedRegionError("unbounded regions: %s" % sorted(infinite))
-    return RegionAreaTable(areas, residual, infinite)
+    return RegionAreaTable({lab: float(sums[lab])
+                            for lab in range(1, net.n_labels + 1)},
+                           float(sums[0]), infinite)
 
 
 # ---- face tracing -------------------------------------------------------------
-
-
-def _trace_key(edge_id, forward):
-    return (edge_id, forward)
 
 
 def region_loops(net: LabeledNetwork, label):
@@ -437,9 +481,9 @@ def region_loops(net: LabeledNetwork, label):
     pending = set()
     for ei, e in enumerate(net.edges):
         if e.left == label:
-            pending.add(_trace_key(ei, True))
+            pending.add((ei, True))
         if e.right == label:
-            pending.add(_trace_key(ei, False))
+            pending.add((ei, False))
 
     loops = []
     while pending:
@@ -458,8 +502,7 @@ def region_loops(net: LabeledNetwork, label):
                 base = loop_pts[-1]
             else:
                 base = pts[0]
-            unwrapped = [base + net.domain.delta(net.vertices[chain[0]], net.vertices[chain[0]]) * 0]
-            unwrapped[0] = np.asarray(base, dtype=float)
+            unwrapped = [np.asarray(base, dtype=float)]
             for a, b in zip(chain[:-1], chain[1:]):
                 step = net.domain.delta(net.vertices[a], net.vertices[b])
                 unwrapped.append(unwrapped[-1] + step)
@@ -471,7 +514,7 @@ def region_loops(net: LabeledNetwork, label):
             d_in = unwrapped[-1] - unwrapped[-2]
             nxt = successor(v_end, d_in)
             d, _, _, nei, nfwd = nxt
-            cur = _trace_key(nei, nfwd)
+            cur = (nei, nfwd)
             if cur == key:
                 break
         if len(loop_pts) >= 3:
@@ -485,17 +528,10 @@ def shoelace(points):
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def label_at_points(net: LabeledNetwork, points):
-    """Label of the region containing each point, by nearest-boundary side."""
+def _nearest_boundary_labels(net: LabeledNetwork, points):
+    """Label by the side of the nearest segment; N x S work, for probes."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     p0, p1, _, lefts, rights = net.segment_arrays()
-    if len(p0) == 0:
-        return np.full(len(points), 1)
-    # bound the (N, S, 2) point-segment temporaries
-    block = max(1, 2_000_000 // max(1, len(p0)))
-    if len(points) > block:
-        return np.concatenate([label_at_points(net, points[i:i + block])
-                               for i in range(0, len(points), block)])
     d = p1 - p0  # (S,2)
     ll = np.sum(d * d, axis=1)
     # displacement of each point from each segment start (torus aware)
@@ -511,6 +547,18 @@ def label_at_points(net: LabeledNetwork, points):
     pick = np.argmax(score, axis=1)
     side = cross[np.arange(len(points)), pick] > 0.0
     return np.where(side, lefts[pick], rights[pick])
+
+
+def label_at_points(net: LabeledNetwork, points):
+    """Label of the region containing each point, from the slab sweep.
+
+    region_areas sums over the same slab_sweep.  Each point takes the label
+    above the nearest crossing below it in its slab (cyclically in y on the
+    torus; in the plane, below the lowest crossing it takes that crossing's
+    lower label).  A point on a boundary gets the label above it; a point on
+    a slab edge belongs to the slab on its right.
+    """
+    return slab_sweep(net).labels(points)
 
 
 # ---- remesh -------------------------------------------------------------------
@@ -566,7 +614,8 @@ def remesh(net: LabeledNetwork, h_min=None, h_max=None):
             step = dom.delta(pa, net.vertices[b])
             length = float(np.linalg.norm(step))
             pieces = 1
-            while length / pieces > h_max:
+            # relative slack: a segment of length h_max up to roundoff stays whole
+            while length / pieces > h_max * (1.0 + 1e-12):
                 pieces *= 2
             for k in range(1, pieces):
                 p = dom.wrap(pa + step * (k / pieces))

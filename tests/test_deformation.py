@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from grainflow.domain import plane
+from grainflow.domain import plane, torus
 from grainflow.network import Edge, LabeledNetwork, region_areas, validate_partition
-from grainflow.deformation import (Move, collapse_small_region, length_in_ball,
+from grainflow.deformation import (Move, _supports_disjoint,
+                                   collapse_small_region, length_in_ball,
                                    lipschitz_step, remove_interior_boundary,
                                    split_high_order_junction, verify_admissible)
 from grainflow.scenes import parse_scene
@@ -162,3 +163,11 @@ def test_lipschitz_step_never_increases_mass():
         # bookkeeping matches independent re-measurement
         assert before - out.network.total_length() == pytest.approx(
             out.length_decrease_omega, abs=1e-9)
+
+
+def test_supports_overlapping_across_torus_seam():
+    # 0.02 apart through x=0 on the torus, 0.98 apart in the plane
+    a = Move("local-relaxation", np.array([0.01, 0.5]), 0.03)
+    b = Move("local-relaxation", np.array([0.99, 0.5]), 0.03)
+    assert not _supports_disjoint(a, [b], torus())
+    assert _supports_disjoint(a, [b], plane())

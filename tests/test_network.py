@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from grainflow.domain import plane, torus
 from grainflow.network import (Edge, LabeledNetwork, MeshScale,
-                               label_at_points, region_areas, remesh,
-                               validate_partition, weld_junctions)
+                               _nearest_boundary_labels, label_at_points,
+                               region_areas, remesh, validate_partition,
+                               weld_junctions)
 from grainflow.scenes import parse_scene, voronoi_scene
 
 from oracles import ngon_area, ngon_vertices
@@ -37,6 +38,9 @@ def test_polygon_area_exact():
     net = circle_net(n=64)
     tab = region_areas(net)
     assert tab.areas[1] == pytest.approx(ngon_area(64), abs=1e-12)
+    # only the two 0.5 x 3 strips beside the carrier (x in [-1, 1]) have no
+    # crossing to claim them; every gap between crossings is attributed
+    assert tab.residual == 2 * 0.5 * 3.0
 
 
 def test_voronoi_areas_tile_torus():
@@ -45,6 +49,7 @@ def test_voronoi_areas_tile_torus():
     assert len(tab.areas) == 8
     assert all(a > 0 for a in tab.areas.values())
     assert sum(tab.areas.values()) == pytest.approx(1.0, abs=1e-9)
+    assert tab.residual <= 1e-12
 
 
 def test_validate_accepts_generated_scenes():
@@ -102,6 +107,13 @@ def test_remesh_merging_respects_h_min():
     assert abs(a1 - a0) < 0.04 * net.total_length()
 
 
+def test_remesh_keeps_segments_of_length_h_max():
+    # the sampled lines have segments of length h_max up to roundoff
+    net = parse_scene(TWO_BANDS, h_max=0.05)
+    assert len(net.segment_lengths()) == 40
+    assert len(remesh(net).segment_lengths()) == 40
+
+
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000),
        n=st.integers(min_value=4, max_value=10))
@@ -127,6 +139,42 @@ def test_label_at_points_chunking_consistent():
     few = np.concatenate([label_at_points(net, pts[i:i + 100])
                           for i in range(0, len(pts), 100)])
     assert np.array_equal(bulk, few)
+
+
+# the slab sweep must agree with the nearest-boundary rule away from ties
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       n=st.integers(min_value=3, max_value=12),
+       pts_seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_sweep_labels_match_nearest_boundary_voronoi(seed, n, pts_seed):
+    net = voronoi_scene(n, seed)
+    pts = np.random.default_rng(pts_seed).uniform(-0.5, 1.5, size=(400, 2))
+    assert np.array_equal(label_at_points(net, pts),
+                          _nearest_boundary_labels(net, pts))
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(min_value=3, max_value=96),
+       r=st.floats(min_value=0.1, max_value=1.0),
+       pts_seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_sweep_labels_match_nearest_boundary_ngon(n, r, pts_seed):
+    net = circle_net(n=n, r=r)
+    # points fill the box, also beyond the carrier's x-range [-r, r]
+    pts = np.random.default_rng(pts_seed).uniform(-1.5, 1.5, size=(400, 2))
+    assert np.array_equal(label_at_points(net, pts),
+                          _nearest_boundary_labels(net, pts))
+
+
+@settings(max_examples=10, deadline=None)
+@given(pts_seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_sweep_labels_match_nearest_boundary_two_bands(pts_seed):
+    net = parse_scene(TWO_BANDS)
+    # points given outside the fundamental cell wrap into it
+    pts = np.random.default_rng(pts_seed).uniform(-2.0, 3.0, size=(400, 2))
+    assert np.array_equal(label_at_points(net, pts),
+                          _nearest_boundary_labels(net, pts))
 
 
 def test_weld_junctions_collapses_short_bridge():
