@@ -8,7 +8,7 @@ varifold; diagnostics monitor the inequalities the construction rests on.
 from .domain import Domain, plane, torus
 from .engine import (FlowState, RunTrace, Schedule, StepReport, advance,
                      curvature_step, run, schedule_params)
-from .kernels import Kernel, kernel_eval, kernel_normalize
+from .kernels import Kernel, kernel_normalize
 from .network import (Edge, LabeledNetwork, MeshScale, region_areas, remesh,
                       validate_partition)
 from .scenes import emit_scene, parse_scene

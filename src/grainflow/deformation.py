@@ -473,7 +473,6 @@ def lipschitz_step(net: LabeledNetwork, j, omega: WeightFunction = None):
     current = net
     accepted = []
     volume = {}
-    mass0 = omega_mass(build_varifold_view(net, omega))
 
     def attempt(outcome):
         nonlocal current
@@ -538,5 +537,6 @@ def lipschitz_step(net: LabeledNetwork, j, omega: WeightFunction = None):
 
     if not accepted:
         return identity_outcome(net)
+    mass0 = omega_mass(build_varifold_view(net, omega))
     mass1 = omega_mass(build_varifold_view(current, omega))
     return DeformationOutcome(current, mass0 - mass1, volume, accepted)

@@ -173,24 +173,24 @@ def advance(state: FlowState, sched: Schedule):
     mass_pre = omega_mass(build_varifold_view(net, omega))
     outcome = lipschitz_step(net, sched.j, omega)
     net1 = outcome.network
-    mass_mid = omega_mass(build_varifold_view(net1, omega))
-    if mass_mid > mass_pre:
-        violations.append("deformation increased weighted mass")
 
     net2, frag = curvature_step(net1, state.kernel, omega, sched.dt)
     frag["pre_step_net"] = net1
+    mass_mid = frag["mass_before"]
+    if mass_mid > mass_pre:
+        violations.append("deformation increased weighted mass")
     violations.extend(frag["violations"])
 
     state.step += 1
     state.t += sched.dt
 
+    mass_post = frag["mass_after"]
     if sched.remesh_cadence and state.step % sched.remesh_cadence == 0:
         net2 = weld_junctions(remesh(net2))
         rep = validate_partition(net2)
         if not rep.ok:
             violations.append("post-remesh validation: %r" % rep.violations[:3])
-
-    mass_post = omega_mass(build_varifold_view(net2, omega))
+        mass_post = omega_mass(build_varifold_view(net2, omega))
     # cumulative growth bound, constant-weight limit form
     bound = state.mass0 + sched.eps ** 0.125 * state.step * sched.dt
     if mass_post > bound + 1e-9 * max(1.0, state.mass0):

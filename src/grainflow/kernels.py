@@ -116,8 +116,3 @@ class Kernel:
             radial = np.where(r > 0.0, psi_prime(r) / np.where(r > 0.0, r, 1.0), 0.0)
         grad = (self.c_eps * radial * ghat - val / e2)[..., None] * d
         return val, grad
-
-
-def kernel_eval(kernel: Kernel, x):
-    """(value, gradient) at a single point or an array of points."""
-    return kernel.value_grad(x)

@@ -19,9 +19,17 @@ feed the smoothed mean curvature
     h_tilde(y) = -(Phi_eps * dV)(y) / ((Phi_eps * |V|)(y) + eps / Omega(y))
     h_eps      = Phi_eps * h_tilde
 
-where the outer convolution is a tensor-grid Riemann sum with spacing eps/4
-truncated at radius min(1, 6 eps) around the carrier (beyond 6 eps the
-Gaussian factor is below e^-18).  The L^2 curvature proxy is
+where the outer convolution is a Riemann sum over one lattice: spacing eps/4
+in the plane, 1/m with m = ceil(4/eps) on the torus (cell indices mod m).  Its
+cells sit at global indices in S x S tiles; a tile is stored when the window
+[t S - k, t S + S + k), k = ceil(trunc_radius / spacing), of a tile t holding
+quadrature nodes touches it, so memory scales with the carrier length and h
+at a point depends only on the carrier near it.  `_separable` picks the one
+kernel that fills and reads the cells: products of 1D Gaussian rows, one
+window per tile by matrix products, where the cutoff profile is 1 on the
+window; otherwise KD-tree sums of the kernel truncated at min(1, 6 eps).
+Beyond 6 eps the Gaussian factor is below e^-18, which bounds how far the two
+kernels differ.  The L^2 curvature proxy is
 
     energy = int |Phi_eps * dV|^2 Omega / (Phi_eps * |V| + eps/Omega) dy.
 """
@@ -60,36 +68,29 @@ class VarifoldView:
         return float(np.sum(self.length))
 
     def quad_nodes(self, max_h=None):
-        """Quadrature nodes: (points, weights, tangents, seg_index, t_param)."""
+        """Quadrature nodes: (points, weights, tangents, seg_index, t_param).
+
+        Each segment of length L > 0 gets Gauss-Legendre nodes on
+        max(1, ceil(L / max_h)) equal subintervals; zero-length segments get
+        none.
+        """
         if max_h is None:
             max_h = self.h_sub
         key = ("nodes", float(max_h))
         if key in self._cache:
             return self._cache[key]
-        pts, wts, taus, sidx, tpar = [], [], [], [], []
-        for i in range(len(self.length)):
-            L = self.length[i]
-            if L <= 0.0:
-                continue
-            k = max(1, int(np.ceil(L / max_h)))
-            # gauss-legendre nodes on each of k equal subintervals
-            for q in range(k):
-                a = q / k
-                b = (q + 1) / k
-                t = 0.5 * (a + b) + 0.5 * (b - a) * _GL_X
-                w = 0.5 * (b - a) * _GL_W * L
-                p = self.p0[i][None, :] + t[:, None] * (self.p1[i] - self.p0[i])[None, :]
-                pts.append(p)
-                wts.append(w)
-                taus.append(np.repeat(self.tangent[i][None, :], len(t), axis=0))
-                sidx.append(np.full(len(t), i))
-                tpar.append(t)
-        if pts:
-            out = (np.concatenate(pts), np.concatenate(wts), np.concatenate(taus),
-                   np.concatenate(sidx), np.concatenate(tpar))
-        else:
-            out = (np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2)),
-                   np.zeros(0, dtype=int), np.zeros(0))
+        seg = np.nonzero(self.length > 0.0)[0]
+        k = np.maximum(1, np.ceil(self.length[seg] / max_h).astype(np.int64))
+        sub = np.repeat(seg, k)  # segment of each subinterval
+        q = np.arange(len(sub)) - np.repeat(np.cumsum(k) - k, k)
+        a = q / np.repeat(k, k)
+        b = (q + 1) / np.repeat(k, k)
+        t = (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * _GL_X
+        w = (0.5 * (b - a))[:, None] * _GL_W * self.length[sub][:, None]
+        sidx = np.repeat(sub, len(_GL_X))
+        t = t.ravel()
+        pts = self.p0[sidx] + t[:, None] * (self.p1 - self.p0)[sidx]
+        out = (pts, w.ravel(), self.tangent[sidx], sidx, t)
         self._cache[key] = out
         return out
 
@@ -233,65 +234,122 @@ def convolve_first_variation(V: VarifoldView, kernel: Kernel, y):
     return fv if fv.shape[0] > 1 else fv[0]
 
 
-# ---- smoothing grid -----------------------------------------------------------
+# ---- smoothing lattice --------------------------------------------------------
+
+_S = 32  # tile edge in lattice cells
 
 
-class QuadratureBudgetError(MemoryError):
-    pass
+def _separable(kernel, sp):
+    """Whether Phi_eps factors into 1D Gaussian rows on a lattice of spacing sp.
+
+    It does where the cutoff profile is 1: on the square of half-width
+    trunc_radius + 2 sp around a point when sqrt(2) (trunc_radius + 2 sp) <= 1/2.
+    """
+    return np.sqrt(2.0) * (kernel.trunc_radius + 2.0 * sp) <= 0.5
+
+
+def _tile_key(tx, ty):
+    return tx * np.int64(1 << 32) + ty
 
 
 @dataclass
-class DenseLayout:
-    """Row-major dense tensor grid: array index i maps to lattice index i + i0."""
-    spacing: float
-    i0: np.ndarray  # (2,) global lattice index of array cell (0,0)
-    shape: tuple  # (nx, ny)
-    k: int  # window radius in cells (= ceil(trunc_radius / spacing))
-    m: int = 0  # lattice period in cells (torus), 0 on the plane
+class Lattice:
+    """Cells of spacing sp at global indices, stored in S x S tiles.
+
+    On the torus the cell index is taken mod m; when S does not divide m the
+    last tile on each axis is partial and its phantom cells stay zero.
+    """
+    sp: float
+    k: int  # window radius in cells
+    m: int  # period in cells on the torus, 0 in the plane
+    keys: np.ndarray = None  # (T,) sorted keys of the stored tiles
+
+    def axis(self, t):
+        """Window cells [t S - k, t S + S + k) along one axis, for tiles t (G,).
+
+        Returns the unwrapped cell centres (G,W), the stored tiles the window
+        crosses in order (G,A), how many of its cells fall in each (G,A, zero
+        for padding) and each cell's offset inside its tile (G,W).
+        """
+        u = t[:, None] * _S - self.k + np.arange(_S + 2 * self.k)
+        centre = (u + 0.5) * self.sp
+        if self.m:
+            u = np.mod(u, self.m)
+        tile = u // _S
+        run = np.cumsum(np.diff(tile, axis=1, prepend=tile[:, :1]) != 0, axis=1)
+        hit = run[:, :, None] == np.arange(run.max(initial=0) + 1)
+        return (centre, np.take_along_axis(tile, hit.argmax(axis=1), axis=1),
+                hit.sum(axis=1), u - tile * _S)
+
+    def cells(self):
+        """Store index and centre of the real cells of the stored tiles.
+
+        The index is a slice over the whole store unless phantom cells exist.
+        """
+        tx = (self.keys + (1 << 31)) >> 32  # inverts _tile_key
+        ty = self.keys - (tx << 32)
+        o = np.arange(_S)
+        cx = tx[:, None, None] * _S + o[:, None]
+        cy = ty[:, None, None] * _S + o
+        pts = np.empty((len(tx), _S, _S, 2))
+        pts[..., 0] = (cx + 0.5) * self.sp
+        pts[..., 1] = (cy + 0.5) * self.sp
+        pts = pts.reshape(-1, 2)
+        if self.m % _S == 0:
+            return slice(0, len(pts)), pts
+        flat = np.flatnonzero((cx < self.m) & (cy < self.m))
+        return flat, pts[flat]
+
+
+class _Groups:
+    """Points grouped by the tile holding them, with each tile's window."""
+
+    def __init__(self, lat, pts):
+        t = np.floor(pts / lat.sp).astype(np.int64) // _S
+        key = _tile_key(t[:, 0], t[:, 1])
+        self.order = np.argsort(key, kind="stable")
+        ks = key[self.order]
+        self.starts = np.flatnonzero(np.diff(ks, prepend=ks[:1] - 1))
+        tiles = t[self.order[self.starts]]
+        self.x = lat.axis(tiles[:, 0])
+        self.y = lat.axis(tiles[:, 1])
+        # keys of every tile the windows touch: (G, Ax, Ay)
+        self.keys = _tile_key(self.x[1][:, :, None], self.y[1][:, None, :])
+
+    def __iter__(self):
+        ends = np.append(self.starts[1:], len(self.order))
+        for g, (a, b) in enumerate(zip(self.starts, ends)):
+            yield g, self.order[a:b]
+
+    def rows(self, g, pts, eps):
+        """Gaussian rows of window g at points (n,2): (gx, gxd, gy, gyd)."""
+        return (*_gauss_axis(eps, self.x[0][g] - pts[:, 0:1]),
+                *_gauss_axis(eps, self.y[0][g] - pts[:, 1:2]))
+
+    def cells(self, g, slots):
+        """Flat store index of every cell of window g, shape (W, W)."""
+        _, _, nx, ox = self.x
+        _, _, ny, oy = self.y
+        tile = np.repeat(np.repeat(slots[g], nx[g], axis=0), ny[g], axis=1)
+        return tile * (_S * _S) + ox[g][:, None] * _S + oy[g]
+
+
+def _slots(keys, want):
+    """Store slot of each wanted tile key; len(keys) (a zero tile) if absent."""
+    s = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    return np.where(keys[s] == want, s, len(keys))
 
 
 @dataclass
 class SmoothingGrid:
-    points: np.ndarray  # (G,2) grid points near the carrier
+    points: np.ndarray  # (G,2) real lattice cells of the stored tiles
     cell: float  # cell area
     mass: np.ndarray  # Phi*|V| at grid points
     fv: np.ndarray  # Phi*dV at grid points
     h_tilde: np.ndarray  # (G,2)
-    layout: DenseLayout = None  # set when the dense separable path was used
-
-
-_MAX_GRID_POINTS = 12_000_000
-_DENSE_CELL_CAP = 4_000_000
-_SUPER = 8  # supercell edge (in grid cells) for the blocked separable path
-
-
-def _dense_params(domain, eps, trunc_radius):
-    """(spacing, k, m) for the dense path, or None when it does not apply.
-
-    The separable factorization needs the cutoff profile to be identically 1
-    over the whole square window, i.e. sqrt(2) * (r + 2 spacing) <= 1/2.
-    """
-    if domain.periodic:
-        m = int(np.ceil(4.0 / eps))
-        sp = 1.0 / m
-    else:
-        m = 0
-        sp = eps / 4.0
-    if np.sqrt(2.0) * (trunc_radius + 2.0 * sp) > 0.5:
-        return None
-    k = int(np.ceil(trunc_radius / sp))
-    if m and (k + _SUPER >= m or m * m > _DENSE_CELL_CAP):
-        return None
-    return sp, k, m
-
-
-def _group_slices(bidx, S=_SUPER):
-    """Sort rows of bidx by supercell; yields (order, split boundaries)."""
-    key = (bidx[:, 0] // S) * np.int64(1 << 32) + (bidx[:, 1] // S)
-    order = np.argsort(key, kind="stable")
-    ks = key[order]
-    cuts = np.nonzero(np.diff(ks))[0] + 1
-    return order, np.concatenate([[0], cuts, [len(ks)]])
+    lattice: Lattice
+    flat: object  # store index of the points (array or slice)
+    separable: bool  # which kernel filled the lattice
 
 
 def _gauss_axis(eps, dx):
@@ -301,146 +359,63 @@ def _gauss_axis(eps, dx):
     return g, (dx / e2) * g
 
 
-def _accumulate_blocks(xq, w, tau, eps, cconst, sp, i0, shape, k, S=_SUPER):
-    """Scatter separable Gaussian windows of the given nodes into dense arrays.
+def _accumulate_blocks(lat, grp, xq, w, tau, eps, cconst):
+    """Phi*|V| and Phi*dV on the stored tiles by separable Gaussian windows.
 
-    xq must already live in the array's unwrapped coordinate frame (array cell
-    index = floor(x / sp) - i0); every window must fit inside `shape`.
-    Returns (mass, fvx, fvy).
+    Each tile's nodes fill its window with two matrix products, added into
+    the (3, tiles * S^2) store (rows: mass, fv_x, fv_y) by one np.add.at.
     """
-    mass = np.zeros(shape)
-    fvx = np.zeros(shape)
-    fvy = np.zeros(shape)
-    bidx = np.floor(xq / sp).astype(np.int64) - i0
-    order, cuts = _group_slices(bidx, S)
-    W = S + 2 * k
-    offs = np.arange(W)
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        sel = order[a:b]
-        lox = int(bidx[sel[0], 0] // S) * S - k
-        loy = int(bidx[sel[0], 1] // S) * S - k
-        cx = (lox + offs + i0[0] + 0.5) * sp
-        cy = (loy + offs + i0[1] + 0.5) * sp
-        gx, gxd = _gauss_axis(eps, cx[None, :] - xq[sel, 0:1])
-        gy, gyd = _gauss_axis(eps, cy[None, :] - xq[sel, 1:2])
-        wq = w[sel] * cconst
-        tx, ty = tau[sel, 0], tau[sel, 1]
-        mass[lox:lox + W, loy:loy + W] += (wq[:, None] * gx).T @ gy
-        axx = (wq * tx * tx)[:, None]
-        axy = (wq * tx * ty)[:, None]
-        ayy = (wq * ty * ty)[:, None]
-        fvx[lox:lox + W, loy:loy + W] += (axx * gxd).T @ gy + (axy * gx).T @ gyd
-        fvy[lox:lox + W, loy:loy + W] += (axy * gxd).T @ gy + (ayy * gx).T @ gyd
-    return mass, fvx, fvy
-
-
-def _dense_accumulate(V: VarifoldView, kernel: Kernel, params):
-    """Phi*|V| and Phi*dV on the full dense grid via separable block sums."""
-    sp, k, m = params
-    eps = kernel.eps
-    x, w, tau, _, _ = V.quad_nodes(_kernel_cap(V, eps))
-    if m:
-        xq = np.mod(x, 1.0)
-    else:
-        xq = x
-    base = np.floor(xq / sp).astype(np.int64)
-    pad = k + _SUPER
-    if m:
-        i0 = np.array([-pad, -pad])
-        shape = (m + 2 * pad, m + 2 * pad)
-    else:
-        i0 = base.min(axis=0) - pad
-        hi = base.max(axis=0) + pad
-        shape = (int(hi[0] - i0[0] + 1), int(hi[1] - i0[1] + 1))
-        if shape[0] * shape[1] > _DENSE_CELL_CAP:
-            return None
-    cconst = kernel.c_eps / (2.0 * np.pi * eps * eps)
-    mass, fvx, fvy = _accumulate_blocks(xq, w, tau, eps, cconst, sp, i0,
-                                        shape, k)
-    if m:
-        mass = _fold_torus(mass, m, pad)
-        fvx = _fold_torus(fvx, m, pad)
-        fvy = _fold_torus(fvy, m, pad)
-        i0 = np.array([0, 0])
-        shape = (m, m)
-    fv = np.stack([fvx.ravel(), fvy.ravel()], axis=1)
-    ii = np.arange(shape[0]) + i0[0]
-    jj = np.arange(shape[1]) + i0[1]
-    gx, gy = np.meshgrid((ii + 0.5) * sp, (jj + 0.5) * sp, indexing="ij")
-    points = np.column_stack([gx.ravel(), gy.ravel()])
-    layout = DenseLayout(sp, i0, shape, k, m)
-    return points, mass.ravel(), fv, layout
-
-
-def _fold_torus(arr, m, pad):
-    """Fold a padded periodic accumulation array back onto the m x m core."""
-    for axis in (0, 1):
-        a = np.moveaxis(arr, axis, 0)
-        a[pad:2 * pad] += a[pad + m:]
-        a[m:m + pad] += a[:pad]
-        arr = np.moveaxis(a, 0, axis)
-    sl = (slice(pad, pad + m), slice(pad, pad + m))
-    return np.ascontiguousarray(arr[sl])
+    n = len(lat.keys) * _S * _S
+    store = np.zeros(3 * n)
+    slots = _slots(lat.keys, grp.keys)
+    W = _S + 2 * lat.k
+    rows = n * np.arange(3)[:, None]
+    for g, sel in grp:
+        gx, gxd, gy, gyd = grp.rows(g, xq[sel], eps)
+        wq = (w[sel] * cconst)[:, None]
+        tx, ty = tau[sel, 0:1], tau[sel, 1:2]
+        # rows of mass, fv_x, fv_y against gy, and of fv_x, fv_y against gyd
+        a = np.concatenate([wq * gx, wq * tx * tx * gxd, wq * tx * ty * gxd],
+                           axis=1).T @ gy
+        b = np.concatenate([wq * tx * ty * gx, wq * ty * ty * gx], axis=1).T @ gyd
+        a[W:] += b
+        # one flat index array keeps np.add.at on its fast path
+        np.add.at(store, (grp.cells(g, slots).ravel() + rows).ravel(), a.ravel())
+    return store.reshape(3, n)
 
 
 def smoothing_grid(V: VarifoldView, kernel: Kernel, omega: WeightFunction):
-    """h_tilde sampled on an eps/4 tensor grid covering the carrier halo.
+    """h_tilde on the cells of the stored lattice tiles (cached on the view).
 
-    Only lattice cells near the carrier are ever materialized: nodes are
-    snapped to coarse blocks of ~trunc_radius size, the 3x3 block neighborhood
-    is expanded into fine cells, and the result is distance-filtered.  This
-    keeps tiny-eps torus runs (a 4/eps x 4/eps full lattice would not fit)
-    proportional to the carrier length instead of the domain area.
+    The lattice has spacing eps/4 in the plane and 1/ceil(4/eps) on the torus.
+    A tile is stored when the window of a tile holding quadrature nodes
+    touches it, so memory scales with the carrier length.  `_separable`
+    decides which kernel fills the cells: separable Gaussian windows
+    scattered per node tile, or the direct truncated-kernel sum at each cell.
     """
     key = ("grid", kernel.eps, omega.variant)
     if key in V._cache:
         return V._cache[key]
     eps = kernel.eps
-    r = kernel.trunc_radius
     x, w, tau, _, _ = V.quad_nodes(_kernel_cap(V, eps))
-    params = _dense_params(V.domain, eps, r) if len(x) else None
-    if params is not None:
-        dense = _dense_accumulate(V, kernel, params)
-        if dense is not None:
-            points, mass, fv, layout = dense
-            denom = mass + eps * omega.inv_value(points)
-            out = SmoothingGrid(points, layout.spacing ** 2, mass, fv,
-                                -fv / denom[:, None], layout)
-            V._cache[key] = out
-            return out
-    if V.domain.periodic:
-        m = int(np.ceil(4.0 / eps))
-        spacing = 1.0 / m
+    m = int(np.ceil(4.0 / eps)) if V.domain.periodic else 0
+    sp = 1.0 / m if m else eps / 4.0
+    lat = Lattice(sp, int(np.ceil(kernel.trunc_radius / sp)), m)
+    xq = np.mod(x, 1.0) if m else x
+    grp = _Groups(lat, xq)
+    lat.keys = np.unique(grp.keys)
+    flat, points = lat.cells()
+    separable = bool(_separable(kernel, sp))
+    if separable:
+        cconst = kernel.c_eps / (2.0 * np.pi * eps * eps)
+        store = _accumulate_blocks(lat, grp, xq, w, tau, eps, cconst)
+        mass, fv = store[0, flat], store[1:, flat].T
     else:
-        m = None
-        spacing = eps / 4.0
-    k = max(1, int(np.ceil(r / spacing)))
-    block = k * spacing
-    coarse = np.unique(np.floor(np.mod(x, 1.0) / block).astype(np.int64)
-                       if m else np.floor(x / block).astype(np.int64), axis=0)
-    off = np.array([[i, jj] for i in (-1, 0, 1) for jj in (-1, 0, 1)])
-    coarse = np.unique((coarse[:, None, :] + off[None, :, :]).reshape(-1, 2),
-                       axis=0)
-    if len(coarse) * k * k > 4 * _MAX_GRID_POINTS:
-        raise QuadratureBudgetError("smoothing grid exceeds memory cap")
-    sub = np.array([[a, b] for a in range(k) for b in range(k)], dtype=np.int64)
-    idx = (coarse[:, None, :] * k + sub[None, :, :]).reshape(-1, 2)
-    if m:
-        idx = np.mod(idx, m)
-        idx = np.unique(idx, axis=0)
-    grid = (idx + 0.5) * spacing
-    # keep only grid points within the truncation halo of the carrier
-    tree = _node_tree(V.domain, x)
-    gq = np.mod(grid, 1.0) if V.domain.periodic else grid
-    dist, _ = tree.query(gq, k=1, distance_upper_bound=r + spacing)
-    grid = grid[np.isfinite(dist)]
-    if len(grid) > _MAX_GRID_POINTS:
-        raise QuadratureBudgetError("smoothing grid exceeds memory cap")
-    mass, fv = _accumulate(V.domain, kernel, grid, x, w, tau,
-                           want_mass=True, want_fv=True)
-    denom = mass + eps * omega.inv_value(grid)
-    h_tilde = -fv / denom[:, None]
-    out = SmoothingGrid(grid, spacing * spacing, mass, fv, h_tilde)
+        mass, fv = _accumulate(V.domain, kernel, points, x, w, tau,
+                               want_mass=True, want_fv=True)
+    denom = mass + eps * omega.inv_value(points)
+    out = SmoothingGrid(points, sp * sp, mass, fv, -fv / denom[:, None], lat,
+                        flat, separable)
     V._cache[key] = out
     return out
 
@@ -454,72 +429,54 @@ def h_tilde_at(V, kernel, omega, points):
     return -fv / denom[:, None]
 
 
-def _dense_gather(sg, kernel, points):
-    """Phi * h_tilde at points via the dense layout; None entries -> fallback."""
-    lay = sg.layout
-    sp, k, per = lay.spacing, lay.k, lay.m
-    eps = kernel.eps
-    H = sg.h_tilde.reshape(lay.shape + (2,))
-    if per:
-        pad = k + _SUPER
-        H = np.pad(H, ((pad, pad), (pad, pad), (0, 0)), mode="wrap")
-        i0 = lay.i0 - pad
-        q = np.mod(points, 1.0)
-    else:
-        i0 = lay.i0
-        q = points
-    scale = kernel.c_eps / (2.0 * np.pi * eps * eps) * sg.cell
-    return _gather_blocks(H, i0, sp, k, eps, scale, q)
+def _gather_blocks(sg, kernel, points, want_jacobian):
+    """Separable Phi_eps * h_tilde at points, and its Jacobian, per tile.
 
-
-def _gather_blocks(H, i0, sp, k, eps, scale, q, S=_SUPER):
-    """Separable Gaussian gather of the field H at the points q.
-
-    Returns (values, miss) where miss marks points whose window does not fit
-    inside H (the caller falls back for those).
+    The points of one tile read that tile's window of h_tilde (tiles not
+    stored read zero): a matrix product with the x rows, then a row dot with
+    the y rows.  J[:, a, b] = d h_b / d x_a.
     """
-    nx, ny = H.shape[:2]
-    bidx = np.floor(q / sp).astype(np.int64) - i0
-    W = S + 2 * k
-    lox = (bidx[:, 0] // S) * S - k
-    loy = (bidx[:, 1] // S) * S - k
-    ok = (lox >= 0) & (loy >= 0) & (lox + W <= nx) & (loy + W <= ny)
-    h = np.zeros((len(q),) + H.shape[2:])
-    offs = np.arange(W)
-    order, cuts = _group_slices(bidx[ok], S)
-    okid = np.nonzero(ok)[0]
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        sel = okid[order[a:b]]
-        lx, ly = int(lox[sel[0]]), int(loy[sel[0]])
-        cx = (lx + offs + i0[0] + 0.5) * sp
-        cy = (ly + offs + i0[1] + 0.5) * sp
-        gx, _ = _gauss_axis(eps, cx[None, :] - q[sel, 0:1])
-        gy, _ = _gauss_axis(eps, cy[None, :] - q[sel, 1:2])
-        block = H[lx:lx + W, ly:ly + W]
-        h[sel] = np.einsum("ni,ij...,nj->n...", gx, block, gy) * scale
-    return h, ~ok
+    lat = sg.lattice
+    eps = kernel.eps
+    q = np.mod(points, 1.0) if lat.m else points
+    grp = _Groups(lat, q)
+    slots = _slots(lat.keys, grp.keys)
+    H = np.zeros(((len(lat.keys) + 1) * _S * _S, 2))
+    H[sg.flat] = sg.h_tilde
+    W = _S + 2 * lat.k
+    scale = kernel.c_eps / (2.0 * np.pi * eps * eps) * sg.cell
+    h = np.zeros((len(q), 2))
+    J = np.zeros((len(q), 2, 2)) if want_jacobian else None
+    for g, sel in grp:
+        gx, gxd, gy, gyd = grp.rows(g, q[sel], eps)
+        block = H[grp.cells(g, slots)].reshape(W, 2 * W)
+        rows = (gx @ block).reshape(-1, W, 2)
+        h[sel] = np.einsum("njc,nj->nc", rows, gy) * scale
+        if want_jacobian:
+            drows = (gxd @ block).reshape(-1, W, 2)
+            J[sel, 0] = np.einsum("njc,nj->nc", drows, gy) * scale
+            J[sel, 1] = np.einsum("njc,nj->nc", rows, gyd) * scale
+    return h, J
 
 
 def h_eps_at(V, kernel, omega, points, want_jacobian=False):
     """h_eps = Phi_eps * h_tilde at the given points (optionally its Jacobian)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     sg = smoothing_grid(V, kernel, omega)
-    m = len(points)
-    h = np.zeros((m, 2))
-    J = np.zeros((m, 2, 2)) if want_jacobian else None
-    if len(sg.points) == 0:
-        return (h, J) if want_jacobian else h
-    if sg.layout is not None and not want_jacobian:
-        h, miss = _dense_gather(sg, kernel, points)
-        if not miss.any():
-            return h
-        sub = _h_eps_sparse(V, kernel, sg, points[miss], False)
-        h[miss] = sub
-        return h
-    return _h_eps_sparse(V, kernel, sg, points, want_jacobian)
+    if len(sg.points) == 0 or len(points) == 0:
+        h, J = np.zeros((len(points), 2)), np.zeros((len(points), 2, 2))
+    elif sg.separable:
+        h, J = _gather_blocks(sg, kernel, points, want_jacobian)
+    else:
+        h, J = _h_eps_sparse(V, kernel, sg, points, want_jacobian)
+    return (h, J) if want_jacobian else h
 
 
 def _h_eps_sparse(V, kernel, sg, points, want_jacobian):
+    """Direct Phi_eps * h_tilde over the lattice cells within trunc_radius.
+
+    Returns (h, J), J = None unless requested; J[:, a, b] = d h_b / d x_a.
+    """
     m = len(points)
     h = np.zeros((m, 2))
     J = np.zeros((m, 2, 2)) if want_jacobian else None
@@ -549,7 +506,7 @@ def _h_eps_sparse(V, kernel, sg, points, want_jacobian):
         contrib = val[:, None] * sg.h_tilde[gi] * sg.cell
         h[:, 0] += np.bincount(ti, weights=contrib[:, 0], minlength=m)
         h[:, 1] += np.bincount(ti, weights=contrib[:, 1], minlength=m)
-    return (h, J) if want_jacobian else h
+    return h, J
 
 
 def l2_energy(V: VarifoldView, kernel: Kernel, omega: WeightFunction, phi=None):
@@ -565,125 +522,13 @@ def l2_energy(V: VarifoldView, kernel: Kernel, omega: WeightFunction, phi=None):
 
 def curvature_and_energy(V: VarifoldView, kernel: Kernel, omega: WeightFunction,
                          points):
-    """(h_eps at points, L^2 energy) choosing the cheapest valid scheme.
+    """(h_eps at points, L^2 energy), both from the view's cached lattice.
 
-    Lattices too large to materialize (paper-faithful eps on the torus) are
-    swept in column slabs with separable block accumulation; everything else
-    goes through the cached smoothing grid.
+    The kernel the lattice uses, separable or direct, is decided once in
+    `_separable`; every scene, eps and domain takes this one path.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    eps = kernel.eps
-    r = kernel.trunc_radius
-    if (V.domain.periodic and ("grid", eps, omega.variant) not in V._cache
-            and _dense_params(V.domain, eps, r) is None
-            and np.sqrt(2.0) * (r + 2.0 / np.ceil(4.0 / eps)) <= 0.5):
-        return _slab_h_and_energy(V, kernel, omega, points)
     h = h_eps_at(V, kernel, omega, points)
     return h, l2_energy(V, kernel, omega)
-
-
-_SLAB_SUPER = 32
-
-
-def _slab_h_and_energy(V, kernel, omega, targets):
-    """Column-slab sweep over a torus lattice too large to hold in memory.
-
-    Each slab owns lattice columns [c0, c1); nodes within 2k columns are
-    selected (making columns [c0-k, c1+k) exact), rows are clustered so that
-    only bands near the carrier are materialized, and both the energy sum and
-    the h gather for the slab's own targets are taken per cluster.
-    """
-    eps = kernel.eps
-    k_r = kernel.trunc_radius
-    m = int(np.ceil(4.0 / eps))
-    sp = 1.0 / m
-    k = int(np.ceil(k_r / sp))
-    S = _SLAB_SUPER
-    x, w, tau, _, _ = V.quad_nodes(_kernel_cap(V, eps))
-    xq = np.mod(x, 1.0)
-    q = np.mod(targets, 1.0)
-    bx = np.floor(xq[:, 0] / sp).astype(np.int64)
-    by = np.floor(xq[:, 1] / sp).astype(np.int64)
-    tbx = np.floor(q[:, 0] / sp).astype(np.int64)
-    tby = np.floor(q[:, 1] / sp).astype(np.int64)
-    cconst = kernel.c_eps / (2.0 * np.pi * eps * eps)
-    const_w = omega.variant == "const"
-    T = max(4 * k, S)
-    h_out = np.zeros((len(q), 2))
-    energy = 0.0
-    for c0 in range(0, m, T):
-        c1 = min(m, c0 + T)
-        # circularly remapped column indices relative to this slab
-        nb = c0 - 2 * k + np.mod(bx - (c0 - 2 * k), m)
-        nsel = np.nonzero(nb < c1 + 2 * k)[0]
-        if len(nsel) == 0:
-            continue
-        tb = c0 + np.mod(tbx - c0, m)
-        tsel = np.nonzero(tb < c1)[0]
-        # row clustering: cut the circle at its largest empty gap, then split
-        # at gaps wider than the interaction range
-        rows = np.unique(by[nsel])
-        if len(rows) > 1:
-            gaps = np.diff(rows)
-            wrap_gap = rows[0] + m - rows[-1]
-            gi = int(np.argmax(gaps))
-            if gaps[gi] > wrap_gap:
-                rmin = int(rows[gi + 1])
-            else:
-                rmin = int(rows[0])
-        else:
-            rmin = int(rows[0])
-        nrow = rmin + np.mod(by[nsel] - rmin, m)
-        trow = rmin + np.mod(tby[tsel] - rmin, m)
-        order = np.argsort(nrow)
-        srow = nrow[order]
-        bnd = np.nonzero(np.diff(srow) > 2 * k + 2)[0] + 1
-        starts = np.concatenate([[0], bnd, [len(srow)]])
-        col_lo = c0 - 3 * k - S
-        ncols = (c1 + 3 * k + S) - col_lo + 1
-        for a, b in zip(starts[:-1], starts[1:]):
-            cl = nsel[order[a:b]]
-            cmin, cmax = int(srow[a]), int(srow[b - 1])
-            r_lo = cmin - k - S
-            nrows = (cmax + k + S) - r_lo + 1
-            i0 = np.array([col_lo, r_lo])
-            shape = (int(ncols), int(nrows))
-            xs_cl = xq[cl, 0] + (nb[cl] - bx[cl]) * sp
-            ys_cl = xq[cl, 1] + (rmin + np.mod(by[cl] - rmin, m) - by[cl]) * sp
-            xy = np.column_stack([xs_cl, ys_cl])
-            mass, fvx, fvy = _accumulate_blocks(xy, w[cl], tau[cl], eps,
-                                                cconst, sp, i0, shape, k, S)
-            if const_w:
-                denom = mass + eps
-                weight = 1.0
-                inv_own = None
-            else:
-                ii = (np.arange(shape[0]) + i0[0] + 0.5) * sp
-                jj = (np.arange(shape[1]) + i0[1] + 0.5) * sp
-                gxp, gyp = np.meshgrid(ii, jj, indexing="ij")
-                pts = np.stack([np.mod(gxp, 1.0), np.mod(gyp, 1.0)], axis=-1)
-                denom = mass + eps * omega.inv_value(pts)
-                weight = omega.value(pts)
-            own = slice(c0 - col_lo, c1 - col_lo)
-            f2 = fvx[own] ** 2 + fvy[own] ** 2
-            wslice = weight if const_w else weight[own]
-            energy += float(np.sum(wslice * f2 / denom[own]) * sp * sp)
-            # gather h for this slab's targets lying in this row cluster;
-            # clusters are > 2k+2 rows apart, so +-k assigns each target to
-            # at most one cluster (farther targets keep the correct h = 0)
-            tmask = (trow >= cmin - k) & (trow <= cmax + k)
-            tcl = tsel[tmask]
-            if len(tcl) == 0:
-                continue
-            H = np.stack([-fvx / denom, -fvy / denom], axis=-1)
-            tloc = trow[tmask]
-            tq = np.column_stack([
-                q[tcl, 0] + (tb[tcl] - tbx[tcl]) * sp,
-                q[tcl, 1] + (tloc - tby[tcl]) * sp])
-            vals, miss = _gather_blocks(H, i0, sp, k, eps,
-                                        cconst * sp * sp, tq, S)
-            h_out[tcl] = vals
-    return h_out, energy
 
 
 @dataclass

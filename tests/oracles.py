@@ -50,3 +50,32 @@ def ngon_area(n, r=1.0):
 def shrinking_circle_radius(t, r0=1.0):
     """Exact curve-shortening radius for a circle."""
     return np.sqrt(r0 * r0 - 2.0 * t)
+
+
+GL4_X, GL4_W = np.polynomial.legendre.leggauss(4)
+
+
+def quad_nodes_loop(V, max_h):
+    """Segment-by-segment Gauss-Legendre nodes, the reference for quad_nodes."""
+    pts, wts, taus, sidx, tpar = [], [], [], [], []
+    for i in range(len(V.length)):
+        L = V.length[i]
+        if L <= 0.0:
+            continue
+        k = max(1, int(np.ceil(L / max_h)))
+        for q in range(k):
+            a = q / k
+            b = (q + 1) / k
+            t = 0.5 * (a + b) + 0.5 * (b - a) * GL4_X
+            w = 0.5 * (b - a) * GL4_W * L
+            p = V.p0[i][None, :] + t[:, None] * (V.p1[i] - V.p0[i])[None, :]
+            pts.append(p)
+            wts.append(w)
+            taus.append(np.repeat(V.tangent[i][None, :], len(t), axis=0))
+            sidx.append(np.full(len(t), i))
+            tpar.append(t)
+    if not pts:
+        return (np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2)),
+                np.zeros(0, dtype=int), np.zeros(0))
+    return (np.concatenate(pts), np.concatenate(wts), np.concatenate(taus),
+            np.concatenate(sidx), np.concatenate(tpar))

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from grainflow.kernels import (Kernel, PSI_GRAD_BOUND, PSI_HESS_BOUND,
-                               kernel_eval, kernel_normalize, psi, psi_prime,
-                               psi_second)
+                               kernel_normalize, psi, psi_prime, psi_second)
 
 from oracles import C_EPS_HALF, C_EPS_TENTH, kernel_mass_oracle
 
@@ -63,7 +62,7 @@ def test_value_at_origin_and_outside_support():
     k = Kernel.make(0.1)
     v0 = k.value(np.zeros(2))
     assert v0 == pytest.approx(k.c_eps / (2.0 * np.pi * 0.01), rel=1e-12)
-    v, g = kernel_eval(k, np.array([1.5, 0.0]))
+    v, g = k.value_grad(np.array([1.5, 0.0]))
     assert v == 0.0 and np.all(g == 0.0)
 
 

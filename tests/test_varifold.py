@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from grainflow.domain import plane, torus
+import grainflow.varifold as vf
+from grainflow.domain import plane
 from grainflow.kernels import Kernel
 from grainflow.scenes import parse_scene
-from grainflow.varifold import (VarifoldView, _dense_params,
-                                _slab_h_and_energy, build_varifold_view,
-                                curvature_and_energy, first_variation,
-                                h_eps_at, l2_energy, omega_mass,
-                                smoothed_mean_curvature,
-                                weighted_first_variation)
+from grainflow.varifold import (VarifoldView, _h_eps_sparse,
+                                build_varifold_view, curvature_and_energy,
+                                first_variation, h_eps_at, l2_energy,
+                                omega_mass, smoothed_mean_curvature,
+                                smoothing_grid, weighted_first_variation)
 from grainflow.weights import const_weight, make_test_function
 
-from oracles import ngon_perimeter, ngon_vertices
+from oracles import ngon_perimeter, ngon_vertices, quad_nodes_loop
 
 
 class LinearField:
@@ -120,28 +121,27 @@ def test_energy_scaling_smaller_circle():
         4.0 * np.pi, rel=0.1)
 
 
-def test_dense_and_sparse_paths_agree(monkeypatch):
+def test_separable_and_direct_paths_agree(monkeypatch):
     om = const_weight()
     k = Kernel.make(0.05)
     net = parse_scene(CIRCLE, h_max=0.0125)
     targets = net.vertices[:32]
     V1 = build_varifold_view(net, om)
-    assert _dense_params(V1.domain, k.eps, k.trunc_radius) is not None
-    h_dense, e_dense = curvature_and_energy(V1, k, om, targets)
-    # disable the separable fast path so the tree-based enumeration runs
-    import grainflow.varifold as vf
-    monkeypatch.setattr(vf, "_dense_params", lambda *a: None)
+    assert vf._separable(k, k.eps / 4.0)
+    h_sep, e_sep = curvature_and_energy(V1, k, om, targets)
+    # force the direct truncated-kernel sums on the same lattice
+    monkeypatch.setattr(vf, "_separable", lambda *a: False)
     V2 = build_varifold_view(net, om)
-    h_sparse = h_eps_at(V2, k, om, targets)
-    e_sparse = l2_energy(V2, k, om)
+    h_direct = h_eps_at(V2, k, om, targets)
+    e_direct = l2_energy(V2, k, om)
     # residual is the ball-vs-square truncation shape difference
-    assert np.max(np.abs(h_dense - h_sparse)) < 1e-5
-    assert e_dense == pytest.approx(e_sparse, rel=1e-5)
+    assert np.max(np.abs(h_sep - h_direct)) < 1e-5
+    assert e_sep == pytest.approx(e_direct, rel=1e-5)
 
 
-def test_slab_sweep_matches_sparse_oracle():
-    # eps small enough that the dense lattice exceeds its memory cap, so the
-    # dispatcher must take the slab path on the torus
+def test_torus_separable_matches_direct_oracle(monkeypatch):
+    # eps small enough that a full 4/eps x 4/eps torus lattice would hold
+    # 4.2e6 cells; the tiles near the carrier hold a fraction of them
     eps = 0.00196
     om = const_weight()
     k = Kernel.make(eps)
@@ -150,17 +150,80 @@ labels 2
 circle center=(0.5,0.5) r=0.2 n=512 inside=1 outside=2
 """
     net = parse_scene(scene, h_max=0.01)
-    assert _dense_params(torus(), eps, k.trunc_radius) is None
+    assert vf._separable(k, 1.0 / np.ceil(4.0 / eps))
     V = build_varifold_view(net, om)
     targets = net.vertices[:24]
-    h_slab, e_slab = _slab_h_and_energy(V, k, om, targets)
+    h_sep, e_sep = curvature_and_energy(V, k, om, targets)
+    monkeypatch.setattr(vf, "_separable", lambda *a: False)
     V2 = build_varifold_view(net, om)
     h_ref = h_eps_at(V2, k, om, targets)
     e_ref = l2_energy(V2, k, om)
-    assert e_slab == pytest.approx(e_ref, rel=1e-5)
-    assert np.max(np.abs(h_slab - h_ref)) < 1e-4 * np.max(np.abs(h_ref))
+    assert e_sep == pytest.approx(e_ref, rel=1e-5)
+    assert np.max(np.abs(h_sep - h_ref)) < 1e-4 * np.max(np.abs(h_ref))
     # the curvature of the radius-0.2 circle is resolved at this eps
-    assert np.linalg.norm(h_slab, axis=1).max() == pytest.approx(5.0, rel=0.02)
+    assert np.linalg.norm(h_sep, axis=1).max() == pytest.approx(5.0, rel=0.02)
+
+
+def test_separable_jacobian_matches_direct_sum():
+    om = const_weight()
+    k = Kernel.make(0.05)
+    net = parse_scene(CIRCLE, h_max=0.0125)
+    V = build_varifold_view(net, om)
+    sg = smoothing_grid(V, k, om)
+    assert sg.separable
+    targets = net.vertices[::8]
+    h, J = h_eps_at(V, k, om, targets, want_jacobian=True)
+    h_ref, J_ref = _h_eps_sparse(V, k, sg, targets, want_jacobian=True)
+    # the same lattice field read by the product of Gaussian rows and by the
+    # kernel truncated at 6 eps: they differ by the Gaussian tail, e^-18 in
+    # value and 6 e^-18 ~ 1e-7 in the derivative
+    assert np.max(np.abs(h - h_ref)) < 1e-7 * np.max(np.abs(h_ref))
+    assert np.max(np.abs(J - J_ref)) < 1e-6 * np.max(np.abs(J_ref))
+    # along the unit circle the curvature vector turns at unit rate
+    tau = np.column_stack([-targets[:, 1], targets[:, 0]])
+    along = np.einsum("qi,qik,qk->q", tau, J, tau)
+    assert np.max(np.abs(along + 1.0)) < 0.05
+
+
+def test_curvature_is_local():
+    # tile windows sit at global lattice indices, so a second circle far
+    # away leaves the first one's curvature unchanged
+    one = """domain plane bbox=(-1.5,-1.5,1.5,1.5)
+labels 3
+circle center=(0.6,0.6) r=0.3 n=160 inside=1 outside=3
+"""
+    two = one + "circle center=(-0.93,-0.71) r=0.3 n=160 inside=2 outside=3\n"
+    om = const_weight()
+    k = Kernel.make(0.05)
+    net1 = parse_scene(one, h_max=0.0125)
+    net2 = parse_scene(two, h_max=0.0125)
+    targets = net1.vertices
+    h1 = h_eps_at(build_varifold_view(net1, om), k, om, targets)
+    h2 = h_eps_at(build_varifold_view(net2, om), k, om, targets)
+    assert np.max(np.abs(h1 - h2)) <= 1e-13 * np.max(np.abs(h1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.floats(0.01, 0.3), st.data())
+def test_quad_nodes_match_segment_loop(n, max_h, data):
+    coords = st.floats(-2.0, 2.0, allow_nan=False)
+    p0 = np.array(data.draw(st.lists(st.tuples(coords, coords),
+                                     min_size=n, max_size=n)))
+    p1 = np.array(data.draw(st.lists(st.tuples(coords, coords),
+                                     min_size=n, max_size=n)))
+    # some segments have zero length and get no nodes
+    same = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    p1[same] = p0[same]
+    d = p1 - p0
+    length = np.linalg.norm(d, axis=1)
+    tangent = d / np.where(length > 0.0, length, 1.0)[:, None]
+    V = VarifoldView(plane(), p0, p1, tangent, length, const_weight())
+    got = V.quad_nodes(max_h)
+    want = quad_nodes_loop(V, max_h)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.array_equal(a, b)
 
 
 def test_curvature_sup_bound_respected():
