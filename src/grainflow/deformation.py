@@ -395,33 +395,42 @@ def split_high_order_junction(net: LabeledNetwork, junction, j):
 
 
 def _kink_candidates(net, cos_threshold=0.9):
-    """Interior degree-2 vertices whose turning angle exceeds the threshold."""
+    """Interior degree-2 vertices whose turning angle exceeds the threshold.
+
+    Returns (cos, vertex, prev, next) tuples in ascending order, the first
+    hit per vertex.  The scan builds every chain's (prev, vertex, next)
+    triples by slicing; a closed chain contributes positions 0..n-2 with
+    chain[-2] before position 0.  Dots and norms use a batched matmul over
+    the pairs because it rounds as np.dot and np.linalg.norm do on one pair;
+    einsum or an explicit sum differ by an ulp or two on some pairs, which
+    reorders the tied cosines of a regular polygon at threshold 1.
+    """
     deg = net.vertex_degrees()
-    out = []
-    seen = set()
-    for ei, e in enumerate(net.edges):
-        c = list(e.chain)
-        closed = c[0] == c[-1]
-        positions = range(1, len(c) - 1)
-        if closed:
-            positions = range(0, len(c) - 1)
-        for m in positions:
-            vi = c[m]
-            if deg[vi] != 2 or vi in seen:
-                continue
-            prev = c[m - 1] if m > 0 else c[-2]
-            nxt = c[m + 1]
-            a = net.domain.delta(net.vertices[prev], net.vertices[vi])
-            b = net.domain.delta(net.vertices[vi], net.vertices[nxt])
-            na, nb = np.linalg.norm(a), np.linalg.norm(b)
-            if na < 1e-12 or nb < 1e-12:
-                continue
-            cosang = float(np.dot(a, b) / (na * nb))
-            if cosang < cos_threshold:
-                seen.add(vi)
-                out.append((cosang, vi, prev, nxt))
-    out.sort()
-    return out
+    triples = []
+    for e in net.edges:
+        c = np.asarray(e.chain)
+        if c[0] == c[-1]:
+            triples.append((np.concatenate([c[-2:-1], c[:-2]]), c[:-1], c[1:]))
+        else:
+            triples.append((c[:-2], c[1:-1], c[2:]))
+    if not triples:
+        return []
+    prev, mid, nxt = (np.concatenate(t) for t in zip(*triples))
+    keep = deg[mid] == 2
+    prev, mid, nxt = prev[keep], mid[keep], nxt[keep]
+    a = net.domain.delta(net.vertices[prev], net.vertices[mid])
+    b = net.domain.delta(net.vertices[mid], net.vertices[nxt])
+    na = np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
+    nb = np.sqrt((b[:, None, :] @ b[:, :, None])[:, 0, 0])
+    ok = (na >= 1e-12) & (nb >= 1e-12)
+    cosang = np.full(len(mid), np.inf)
+    cosang[ok] = ((a[ok, None, :] @ b[ok, :, None])[:, 0, 0]
+                  / (na[ok] * nb[ok]))
+    hit = np.nonzero(cosang < cos_threshold)[0]
+    hit = hit[np.unique(mid[hit], return_index=True)[1]]
+    order = hit[np.lexsort((nxt[hit], prev[hit], mid[hit], cosang[hit]))]
+    return [(float(cosang[i]), int(mid[i]), int(prev[i]), int(nxt[i]))
+            for i in order]
 
 
 def relax_kink(net: LabeledNetwork, vertex, prev, nxt, j):
@@ -450,6 +459,22 @@ def relax_kink(net: LabeledNetwork, vertex, prev, nxt, j):
 # ---- greedy pass ----------------------------------------------------------------
 
 
+def _label_boundary_lengths(net):
+    """Boundary length of each label (index 0 unused), inf where it has none.
+
+    One segment_arrays pass: a segment counts for its left label, and for its
+    right label when that differs, so a same-label segment counts once.
+    """
+    p0, p1, _, left, right = net.segment_arrays()
+    seg = np.linalg.norm(p1 - p0, axis=1)
+    n = net.n_labels + 1
+    other = left != right
+    total = (np.bincount(left, seg, minlength=n)
+             + np.bincount(right[other], seg[other], minlength=n))
+    count = np.bincount(left, minlength=n) + np.bincount(right, minlength=n)
+    return np.where(count > 0, total, np.inf)
+
+
 def _supports_disjoint(move, accepted, domain):
     for m in accepted:
         if m.is_identity:
@@ -473,9 +498,11 @@ def lipschitz_step(net: LabeledNetwork, j, omega: WeightFunction = None):
     current = net
     accepted = []
     volume = {}
+    mass_net = None  # Omega-weighted mass of net, once a move reaches the test
+    mass = None  # Omega-weighted mass of current
 
     def attempt(outcome):
-        nonlocal current
+        nonlocal current, mass_net, mass
         move = outcome.accepted_moves[0]
         if move.is_identity:
             return False
@@ -487,10 +514,12 @@ def lipschitz_step(net: LabeledNetwork, j, omega: WeightFunction = None):
         if not validate_partition(outcome.network).ok:
             return False
         m_new = omega_mass(build_varifold_view(outcome.network, omega))
-        m_old = omega_mass(build_varifold_view(current, omega))
-        if m_new > m_old:  # weighted measure must not increase
+        if mass is None:  # current is still net: nothing accepted yet
+            mass_net = mass = omega_mass(build_varifold_view(current, omega))
+        if m_new > mass:  # weighted measure must not increase
             return False
         current = outcome.network
+        mass = m_new
         accepted.append(move)
         for lab, dv in outcome.volume_changes.items():
             volume[lab] = volume.get(lab, 0.0) + dv
@@ -506,29 +535,25 @@ def lipschitz_step(net: LabeledNetwork, j, omega: WeightFunction = None):
                     progress = True
                     break
 
+    blen = None  # per-label boundary lengths of current
     for label in range(1, net.n_labels + 1):
+        if blen is None:
+            blen = _label_boundary_lengths(current)
+        if blen[label] > C2_SMALLNESS / (2.0 * j * j):
+            continue
         try:
-            bedges = [e for e in current.edges if label in (e.left, e.right)]
-            if not bedges:
-                continue
-            blen = sum(
-                float(np.linalg.norm(current.domain.delta(
-                    current.vertices[a], current.vertices[b])))
-                for e in bedges for a, b in zip(e.chain[:-1], e.chain[1:]))
-            if blen > C2_SMALLNESS / (2.0 * j * j):
-                continue
-            attempt(collapse_small_region(current, label, j))
+            if attempt(collapse_small_region(current, label, j)):
+                blen = None
         except (NotADiskError, DominanceAmbiguityError):
             continue
 
     progress = True
     while progress:
         progress = False
-        for vi in current.junctions():
-            if current.vertex_degrees()[vi] >= 4:
-                if attempt(split_high_order_junction(current, vi, j)):
-                    progress = True
-                    break
+        for vi in np.nonzero(current.vertex_degrees() >= 4)[0]:
+            if attempt(split_high_order_junction(current, vi, j)):
+                progress = True
+                break
 
     for _, vi, prev, nxt in _kink_candidates(current):
         if vi >= len(current.vertices):
@@ -537,6 +562,4 @@ def lipschitz_step(net: LabeledNetwork, j, omega: WeightFunction = None):
 
     if not accepted:
         return identity_outcome(net)
-    mass0 = omega_mass(build_varifold_view(net, omega))
-    mass1 = omega_mass(build_varifold_view(current, omega))
-    return DeformationOutcome(current, mass0 - mass1, volume, accepted)
+    return DeformationOutcome(current, mass_net - mass, volume, accepted)

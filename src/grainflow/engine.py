@@ -116,10 +116,13 @@ class FlowState:
     t: float = 0.0
     step: int = 0
     mass0: float = None  # Omega-weighted initial mass, for the cumulative bound
+    # Omega-weighted mass of net; advance keeps it current
+    mass: float = field(init=False)
 
     def __post_init__(self):
+        self.mass = omega_mass(build_varifold_view(self.net, self.omega))
         if self.mass0 is None:
-            self.mass0 = omega_mass(build_varifold_view(self.net, self.omega))
+            self.mass0 = self.mass
 
 
 def _used_vertices(net):
@@ -170,7 +173,7 @@ def advance(state: FlowState, sched: Schedule):
     omega = state.omega
     violations = []
 
-    mass_pre = omega_mass(build_varifold_view(net, omega))
+    mass_pre = state.mass
     outcome = lipschitz_step(net, sched.j, omega)
     net1 = outcome.network
 
@@ -200,6 +203,7 @@ def advance(state: FlowState, sched: Schedule):
     areas = region_areas(net2).areas
 
     state.net = net2
+    state.mass = mass_post
     report = StepReport(state.step, state.t, mass_pre, mass_mid, mass_post,
                         frag["energy"], mass_pre - mass_mid,
                         frag["max_displacement"], areas, violations)

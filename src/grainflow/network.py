@@ -13,6 +13,7 @@ edge-ends in angular order, the left label of one end equals the right label
 of the next.
 """
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -98,15 +99,15 @@ class LabeledNetwork:
         return ends
 
     def vertex_degrees(self):
-        deg = np.zeros(len(self.vertices), dtype=int)
-        for ei, e in enumerate(self.edges):
-            c = np.asarray(e.chain)
-            deg[c[0]] += 1
-            deg[c[-1]] += 1
-            interior = c[1:-1]
-            if len(interior):
-                np.add.at(deg, interior, 2)
-        return deg
+        """Edge-ends per vertex: chain ends count 1 each, interior vertices 2."""
+        n = len(self.vertices)
+        if not self.edges:
+            return np.zeros(n, dtype=int)
+        every = np.fromiter(
+            itertools.chain.from_iterable(e.chain for e in self.edges), dtype=int)
+        ends = np.array([(e.chain[0], e.chain[-1]) for e in self.edges]).ravel()
+        return (2 * np.bincount(every, minlength=n)
+                - np.bincount(ends, minlength=n))
 
     def junctions(self):
         return np.nonzero(self.vertex_degrees() >= 3)[0]
@@ -646,30 +647,30 @@ def weld_junctions(net: LabeledNetwork):
 
     Two triple junctions colliding produce a degree-4 vertex which the next
     deformation step breaks up again; this is how network grains disappear.
+    Each round welds the first short chain in edge order and rescans, so a
+    cascade of welds resolves without recursion.
     """
-    deg = net.vertex_degrees()
-    for ei, e in enumerate(net.edges):
-        c = e.chain
-        if c[0] == c[-1]:
-            continue
-        if deg[c[0]] >= 3 and deg[c[-1]] >= 3:
+    while True:
+        deg = net.vertex_degrees()
+        for ei, e in enumerate(net.edges):
+            c = e.chain
+            if c[0] == c[-1] or deg[c[0]] < 3 or deg[c[-1]] < 3:
+                continue
             length = 0.0
             for a, b in zip(c[:-1], c[1:]):
                 length += float(np.linalg.norm(net.domain.delta(
                     net.vertices[a], net.vertices[b])))
             if length < net.scale.weld:
-                keep, drop = c[0], c[-1]
-                mid = net.domain.wrap(net.vertices[keep] + 0.5 * net.domain.delta(
-                    net.vertices[keep], net.vertices[drop]))
-                verts = net.vertices.copy()
-                verts[keep] = mid
-                edges = []
-                for fj, f in enumerate(net.edges):
-                    if fj == ei:
-                        continue
-                    chain = tuple(keep if i == drop else i for i in f.chain)
-                    edges.append(Edge(chain, f.left, f.right))
-                merged = compact(LabeledNetwork(net.domain, net.n_labels,
-                                                verts, edges, net.scale))
-                return weld_junctions(merged)  # handle cascades
-    return net
+                break
+        else:
+            return net
+        keep, drop = c[0], c[-1]
+        mid = net.domain.wrap(net.vertices[keep] + 0.5 * net.domain.delta(
+            net.vertices[keep], net.vertices[drop]))
+        verts = net.vertices.copy()
+        verts[keep] = mid
+        edges = [Edge(tuple(keep if i == drop else i for i in f.chain),
+                      f.left, f.right)
+                 for fj, f in enumerate(net.edges) if fj != ei]
+        net = compact(LabeledNetwork(net.domain, net.n_labels, verts, edges,
+                                     net.scale))

@@ -2,11 +2,14 @@
 
 Everything here is computed from first principles (closed forms or scipy
 quadrature written separately from the package), never by calling the code
-under test.
+under test, or is the plain loop that array code in the package replaced,
+kept as its reference.
 """
 
 import numpy as np
 from scipy import integrate
+
+from grainflow.network import Edge, LabeledNetwork, compact
 
 # normalization constants of the truncated Gaussian, frozen from a 30-digit
 # mpmath radial quadrature of the quintic-smoothstep profile
@@ -79,3 +82,92 @@ def quad_nodes_loop(V, max_h):
                 np.zeros(0, dtype=int), np.zeros(0))
     return (np.concatenate(pts), np.concatenate(wts), np.concatenate(taus),
             np.concatenate(sidx), np.concatenate(tpar))
+
+
+# ---- reference loops for the deformation pass and the network helpers ----------
+
+
+def vertex_degrees_loop(net):
+    """Edge-ends per vertex, one chain at a time."""
+    deg = np.zeros(len(net.vertices), dtype=int)
+    for e in net.edges:
+        c = np.asarray(e.chain)
+        deg[c[0]] += 1
+        deg[c[-1]] += 1
+        interior = c[1:-1]
+        if len(interior):
+            np.add.at(deg, interior, 2)
+    return deg
+
+
+def kink_candidates_loop(net, cos_threshold=0.9):
+    """Per-vertex kink scan, the reference for deformation._kink_candidates."""
+    deg = vertex_degrees_loop(net)
+    out = []
+    seen = set()
+    for e in net.edges:
+        c = list(e.chain)
+        closed = c[0] == c[-1]
+        positions = range(1, len(c) - 1)
+        if closed:
+            positions = range(0, len(c) - 1)
+        for m in positions:
+            vi = c[m]
+            if deg[vi] != 2 or vi in seen:
+                continue
+            prev = c[m - 1] if m > 0 else c[-2]
+            nxt = c[m + 1]
+            a = net.domain.delta(net.vertices[prev], net.vertices[vi])
+            b = net.domain.delta(net.vertices[vi], net.vertices[nxt])
+            na, nb = np.linalg.norm(a), np.linalg.norm(b)
+            if na < 1e-12 or nb < 1e-12:
+                continue
+            cosang = float(np.dot(a, b) / (na * nb))
+            if cosang < cos_threshold:
+                seen.add(vi)
+                out.append((cosang, vi, prev, nxt))
+    out.sort()
+    return out
+
+
+def label_boundary_lengths_loop(net):
+    """label -> boundary length, for the labels that have a boundary edge."""
+    out = {}
+    for label in range(1, net.n_labels + 1):
+        bedges = [e for e in net.edges if label in (e.left, e.right)]
+        if bedges:
+            out[label] = sum(
+                float(np.linalg.norm(net.domain.delta(
+                    net.vertices[a], net.vertices[b])))
+                for e in bedges for a, b in zip(e.chain[:-1], e.chain[1:]))
+    return out
+
+
+def weld_junctions_recursive(net):
+    """Weld the first short junction-to-junction chain, then recurse."""
+    deg = vertex_degrees_loop(net)
+    for ei, e in enumerate(net.edges):
+        c = e.chain
+        if c[0] == c[-1]:
+            continue
+        if deg[c[0]] >= 3 and deg[c[-1]] >= 3:
+            length = 0.0
+            for a, b in zip(c[:-1], c[1:]):
+                length += float(np.linalg.norm(net.domain.delta(
+                    net.vertices[a], net.vertices[b])))
+            if length < net.scale.weld:
+                keep, drop = c[0], c[-1]
+                mid = net.domain.wrap(net.vertices[keep] + 0.5 * net.domain.delta(
+                    net.vertices[keep], net.vertices[drop]))
+                verts = net.vertices.copy()
+                verts[keep] = mid
+                edges = []
+                for fj, f in enumerate(net.edges):
+                    if fj == ei:
+                        continue
+                    chain = tuple(keep if i == drop else i for i in f.chain)
+                    edges.append(Edge(chain, f.left, f.right))
+                merged = compact(LabeledNetwork(net.domain, net.n_labels,
+                                                verts, edges, net.scale))
+                return weld_junctions_recursive(merged)
+    return net

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from grainflow.domain import plane, torus
 from grainflow.network import Edge, LabeledNetwork, region_areas, validate_partition
-from grainflow.deformation import (Move, _supports_disjoint,
+from grainflow.deformation import (Move, _kink_candidates,
+                                   _label_boundary_lengths, _supports_disjoint,
                                    collapse_small_region, length_in_ball,
                                    lipschitz_step, remove_interior_boundary,
                                    split_high_order_junction, verify_admissible)
-from grainflow.scenes import parse_scene
+from grainflow.scenes import parse_scene, voronoi_scene
 from grainflow.weights import const_weight
 
-from oracles import CROSS_DIAGONALS, STEINER_SQUARE
+from oracles import (CROSS_DIAGONALS, STEINER_SQUARE, kink_candidates_loop,
+                     label_boundary_lengths_loop, ngon_vertices)
 
 CROSS = """labels 4
 cross at=(0,0) arms=1
@@ -171,3 +175,64 @@ def test_supports_overlapping_across_torus_seam():
     b = Move("local-relaxation", np.array([0.99, 0.5]), 0.03)
     assert not _supports_disjoint(a, [b], torus())
     assert _supports_disjoint(a, [b], plane())
+
+
+# ---- the array scans of the greedy pass against their loop references -----------
+
+# a square with one spike on its top side: the spike tip is the only kink
+SPIKED_SQUARE = """labels 2
+edge left=1 right=2 points=(0,0);(0.3,0);(0.3,0.3);(0.16,0.3);(0.15,0.34);(0.14,0.3);(0,0.3);(0,0)
+"""
+
+
+def jittered_ngon(n, jitter, seed):
+    pts = ngon_vertices(n) + jitter * np.random.default_rng(seed).uniform(
+        -1.0, 1.0, size=(n, 2))
+    chain = tuple(range(n)) + (0,)
+    # label 3 has no boundary edge: the gate must skip it
+    return LabeledNetwork(plane((-1.5, -1.5, 1.5, 1.5)), 3, pts,
+                          [Edge(chain, 1, 2)])
+
+
+scenes = st.one_of(
+    st.builds(lambda n, seed: voronoi_scene(n, seed),
+              st.integers(3, 12), st.integers(0, 10_000)),
+    st.builds(jittered_ngon, st.integers(3, 600),
+              st.sampled_from([0.0, 1e-9, 1e-3, 0.05]),
+              st.integers(0, 10_000)),
+    st.just(SPIKED_SQUARE).map(parse_scene),
+    st.builds(interior_net))  # a same-label chord counts once for label 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(net=scenes, threshold=st.sampled_from([0.9, 0.99999, 1.0]))
+@example(net=jittered_ngon(512, 0.0, 0), threshold=1.0)
+@example(net=jittered_ngon(512, 0.0, 0), threshold=0.99999)
+@example(net=parse_scene(SPIKED_SQUARE), threshold=0.9)
+@example(net=interior_net(), threshold=0.9)
+def test_array_scans_match_loops(net, threshold):
+    # candidates equal as tuples, cosines included; a regular 512-gon at
+    # threshold 1 has ties that an ulp of drift would reorder
+    assert _kink_candidates(net, threshold) == kink_candidates_loop(
+        net, threshold)
+    blen = _label_boundary_lengths(net)
+    ref = label_boundary_lengths_loop(net)
+    for label in range(1, net.n_labels + 1):
+        if label in ref:
+            assert abs(blen[label] - ref[label]) <= 1e-12 * ref[label]
+        else:
+            assert blen[label] == np.inf
+
+
+def test_lipschitz_step_relaxes_spike():
+    net = parse_scene(SPIKED_SQUARE, h_max=0.05)
+    out = lipschitz_step(net, 2)
+    assert [m.kind for m in out.accepted_moves] == ["local-relaxation"]
+
+    def length(n):
+        return sum(float(np.hypot(*(n.vertices[b] - n.vertices[a])))
+                   for e in n.edges for a, b in zip(e.chain[:-1], e.chain[1:]))
+
+    assert out.length_decrease_omega == pytest.approx(
+        length(net) - length(out.network), abs=1e-9)
+    assert out.length_decrease_omega == pytest.approx(0.06246, abs=1e-5)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grainflow.domain import plane, torus
@@ -10,7 +10,8 @@ from grainflow.network import (Edge, LabeledNetwork, MeshScale,
                                weld_junctions)
 from grainflow.scenes import parse_scene, voronoi_scene
 
-from oracles import ngon_area, ngon_vertices
+from oracles import (ngon_area, ngon_vertices, vertex_degrees_loop,
+                     weld_junctions_recursive)
 
 TWO_BANDS = """domain torus
 labels 2
@@ -190,3 +191,40 @@ def test_weld_junctions_collapses_short_bridge():
     deg = out.vertex_degrees()
     assert np.max(deg) == 4  # merged into one higher-order junction
     assert len(out.edges) == 4
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       n=st.integers(min_value=3, max_value=12))
+def test_vertex_degrees_match_edge_loop(seed, n):
+    for net in (voronoi_scene(n, seed), parse_scene(TWO_BANDS),
+                circle_net(n=n + 3)):
+        assert np.array_equal(net.vertex_degrees(), vertex_degrees_loop(net))
+
+
+@settings(max_examples=20, deadline=None)
+@given(gaps=st.lists(st.floats(min_value=2e-4, max_value=4e-3),
+                     min_size=1, max_size=8))
+@example(gaps=[1e-3] * 6)  # six welds in a row
+def test_weld_cascade_matches_recursive_weld(gaps):
+    # a row of junctions at the given spacings, each with an arm up or down
+    # and two arms at the row's ends: every weld can bring the next junction
+    # within the tolerance, so welds cascade along the row
+    xs = 0.4 + np.concatenate([[0.0], np.cumsum(gaps)])
+    n = len(xs)
+    verts = [(x, 0.5) for x in xs]
+    edges = [Edge((i, i + 1), 1, 2) for i in range(n - 1)]
+
+    def arm(i, dx, dy):
+        verts.append((xs[i] + dx, 0.5 + dy))
+        edges.append(Edge((i, len(verts) - 1), 1, 2))
+
+    for i in range(n):
+        arm(i, 0.0, 0.1 if i % 2 else -0.1)
+    arm(0, -0.1, 0.05)
+    arm(n - 1, 0.1, 0.05)
+    net = LabeledNetwork(torus(), 2, np.array(verts), edges)
+    out = weld_junctions(net)
+    ref = weld_junctions_recursive(net)
+    assert np.array_equal(out.vertices, ref.vertices)
+    assert out.edges == ref.edges
