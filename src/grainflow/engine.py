@@ -126,10 +126,7 @@ class FlowState:
 
 
 def _used_vertices(net):
-    used = np.zeros(len(net.vertices), dtype=bool)
-    for e in net.edges:
-        used[list(e.chain)] = True
-    return np.nonzero(used)[0]
+    return np.unique(net.chain_entries()[0])
 
 
 def curvature_step(net, kernel, omega, dt):

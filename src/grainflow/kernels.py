@@ -100,19 +100,40 @@ class Kernel:
 
     def value(self, d):
         d = np.asarray(d, dtype=float)
-        r = np.sqrt(np.sum(d * d, axis=-1))
-        return self.c_eps * psi(r) * self.gauss(d)
+        return self.value_r2(np.sum(d * d, axis=-1))
 
     def value_grad(self, d):
         """Kernel value and analytic gradient at displacements d (..., 2)."""
         d = np.asarray(d, dtype=float)
-        r2 = np.sum(d * d, axis=-1)
+        val, factor = self.value_grad_r2(np.sum(d * d, axis=-1))
+        return val, factor[..., None] * d
+
+    def value_r2(self, r2):
+        """Kernel value at squared radii r2."""
+        return self._radial(r2)[3]
+
+    def value_grad_r2(self, r2):
+        """Kernel value and gradient factor at squared radii r2.
+
+        The gradient at a displacement d with |d|^2 = r2 is factor * d.
+        """
+        r, far, ghat, val = self._radial(r2)
+        # grad = c psi'(r) d/r ghat - val * d / eps^2 ; psi' vanishes at r=0
+        radial = np.zeros_like(r)
+        radial[far] = psi_prime(r[far]) / r[far]
+        return val, self.c_eps * radial * ghat - val / (self.eps * self.eps)
+
+    def _radial(self, r2):
+        """(r, r > 1/2, PhiHat, value) at squared radii r2.
+
+        psi is 1 and psi' is 0 on r <= 1/2, so the quintic is evaluated
+        only beyond.
+        """
+        r2 = np.asarray(r2, dtype=float)
         r = np.sqrt(r2)
         e2 = self.eps * self.eps
         ghat = np.exp(-r2 / (2.0 * e2)) / (2.0 * np.pi * e2)
-        val = self.c_eps * psi(r) * ghat
-        # grad = c psi'(r) d/r ghat - val * d / eps^2 ; psi' vanishes at r=0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            radial = np.where(r > 0.0, psi_prime(r) / np.where(r > 0.0, r, 1.0), 0.0)
-        grad = (self.c_eps * radial * ghat - val / e2)[..., None] * d
-        return val, grad
+        far = r > 0.5
+        p = np.ones_like(r)
+        p[far] = psi(r[far])
+        return r, far, ghat, self.c_eps * p * ghat

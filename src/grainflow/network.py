@@ -98,16 +98,22 @@ class LabeledNetwork:
             ends.setdefault(c[-1], []).append((d1, e.right, e.left, ei, False))
         return ends
 
+    def chain_entries(self):
+        """Every chain's vertex indices concatenated in edge order, and the
+        positions of each chain's first and last entry in that array."""
+        every = np.fromiter(
+            itertools.chain.from_iterable(e.chain for e in self.edges), dtype=int)
+        n = np.array([len(e.chain) for e in self.edges], dtype=int)
+        last = np.cumsum(n) - 1
+        return every, last - n + 1, last
+
     def vertex_degrees(self):
         """Edge-ends per vertex: chain ends count 1 each, interior vertices 2."""
         n = len(self.vertices)
-        if not self.edges:
-            return np.zeros(n, dtype=int)
-        every = np.fromiter(
-            itertools.chain.from_iterable(e.chain for e in self.edges), dtype=int)
-        ends = np.array([(e.chain[0], e.chain[-1]) for e in self.edges]).ravel()
+        every, first, last = self.chain_entries()
         return (2 * np.bincount(every, minlength=n)
-                - np.bincount(ends, minlength=n))
+                - np.bincount(every[first], minlength=n)
+                - np.bincount(every[last], minlength=n))
 
     def junctions(self):
         return np.nonzero(self.vertex_degrees() >= 3)[0]

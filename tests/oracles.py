@@ -8,6 +8,7 @@ kept as its reference.
 
 import numpy as np
 from scipy import integrate
+from scipy.spatial import cKDTree
 
 from grainflow.network import Edge, LabeledNetwork, compact
 
@@ -82,6 +83,91 @@ def quad_nodes_loop(V, max_h):
                 np.zeros(0, dtype=int), np.zeros(0))
     return (np.concatenate(pts), np.concatenate(wts), np.concatenate(taus),
             np.concatenate(sidx), np.concatenate(tpar))
+
+
+def kernel_value_grad_full(kernel, d):
+    """Kernel value and gradient with the profile evaluated at every radius,
+    the reference for Kernel.value_grad."""
+    d = np.asarray(d, dtype=float)
+    r2 = np.sum(d * d, axis=-1)
+    r = np.sqrt(r2)
+    e2 = kernel.eps * kernel.eps
+    ghat = np.exp(-r2 / (2.0 * e2)) / (2.0 * np.pi * e2)
+    u = np.clip(2.0 * r - 1.0, 0.0, 1.0)
+    val = kernel.c_eps * (1.0 - u**3 * (10.0 - 15.0 * u + 6.0 * u * u)) * ghat
+    u = 2.0 * r - 1.0
+    inside = (u > 0.0) & (u < 1.0)
+    u = np.where(inside, u, 0.0)
+    dpsi = np.where(inside, -2.0 * 30.0 * u * u * (1.0 - u) ** 2, 0.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        radial = np.where(r > 0.0, dpsi / np.where(r > 0.0, r, 1.0), 0.0)
+    grad = (kernel.c_eps * radial * ghat - val / e2)[..., None] * d
+    return val, grad
+
+
+_TREE_PAIR_CHUNK = 4_000_000
+
+
+def _tree_pairs(domain, pts, queries, r):
+    """(query, point) index pairs within r by KD-tree, in chunks of queries,
+    each query's points ascending."""
+    if domain.periodic:
+        tree = cKDTree(np.mod(pts, 1.0), boxsize=1.0)
+        q = np.mod(queries, 1.0)
+    else:
+        tree = cKDTree(pts)
+        q = queries
+    step = max(16, _TREE_PAIR_CHUNK // max(1, int(len(pts) * min(1.0, 8 * r * r))))
+    for lo in range(0, len(q), step):
+        lists = tree.query_ball_point(q[lo:lo + step], r)
+        counts = [len(l) for l in lists]
+        if sum(counts):
+            yield (np.repeat(np.arange(lo, lo + len(lists)), counts),
+                   np.concatenate([np.asarray(l, dtype=int) for l in lists if l]))
+
+
+def direct_lattice_sums_tree(V, kernel, cells):
+    """Phi*|V| and Phi*dV at lattice cells by KD-tree pair lists, the
+    reference for the direct branch of varifold.smoothing_grid.
+
+    Each cell sums its nodes within trunc_radius in ascending order.
+    """
+    cap = min(V.h_sub, kernel.eps)
+    x, w, tau, _, _ = V.quad_nodes(cap)
+    m = len(cells)
+    mass, fv = np.zeros(m), np.zeros((m, 2))
+    if len(x) == 0 or m == 0:
+        return mass, fv
+    for ti, ni in _tree_pairs(V.domain, x, cells, kernel.trunc_radius):
+        d = V.domain.delta(cells[ti], x[ni])  # node - cell
+        val, grad = kernel_value_grad_full(kernel, d)
+        proj = np.einsum("pk,pk->p", tau[ni], grad)
+        contrib = (w[ni] * proj)[:, None] * tau[ni]
+        fv[:, 0] += np.bincount(ti, weights=contrib[:, 0], minlength=m)
+        fv[:, 1] += np.bincount(ti, weights=contrib[:, 1], minlength=m)
+        mass += np.bincount(ti, weights=w[ni] * val, minlength=m)
+    return mass, fv
+
+
+def direct_gather_tree(V, kernel, sg, points):
+    """Phi_eps * h_tilde and its Jacobian J[:, a, b] = d h_b / d x_a at
+    points by KD-tree pair lists over the lattice cells, the reference for
+    the direct gather of varifold.h_eps_at."""
+    m = len(points)
+    h, J = np.zeros((m, 2)), np.zeros((m, 2, 2))
+    for ti, gi in _tree_pairs(V.domain, sg.points, points, kernel.trunc_radius):
+        d = V.domain.delta(points[ti], sg.points[gi])  # cell - point
+        val, grad = kernel_value_grad_full(kernel, d)
+        # d/dx Phi(g - x) = -(grad Phi)(g - x)
+        contrib_j = -grad[:, :, None] * sg.h_tilde[gi][:, None, :] * sg.cell
+        for a in range(2):
+            for b in range(2):
+                J[:, a, b] += np.bincount(ti, weights=contrib_j[:, a, b],
+                                          minlength=m)
+        contrib = val[:, None] * sg.h_tilde[gi] * sg.cell
+        h[:, 0] += np.bincount(ti, weights=contrib[:, 0], minlength=m)
+        h[:, 1] += np.bincount(ti, weights=contrib[:, 1], minlength=m)
+    return h, J
 
 
 # ---- reference loops for the deformation pass and the network helpers ----------
@@ -171,3 +257,24 @@ def weld_junctions_recursive(net):
                                                 verts, edges, net.scale))
                 return weld_junctions_recursive(merged)
     return net
+
+
+def segment_vertex_ids_loop(net):
+    """(v0, v1) of the nonzero-length segments, one chain at a time, the
+    reference for VarifoldView.v0 and v1."""
+    p0, p1, _, _, _ = net.segment_arrays()
+    keep = np.linalg.norm(p1 - p0, axis=1) > 0.0
+    v0s, v1s = [], []
+    for e in net.edges:
+        c = list(e.chain)
+        v0s.extend(c[:-1])
+        v1s.extend(c[1:])
+    return (np.asarray(v0s, dtype=int)[keep], np.asarray(v1s, dtype=int)[keep])
+
+
+def used_vertices_loop(net):
+    """Sorted indices of the vertices some chain uses."""
+    used = np.zeros(len(net.vertices), dtype=bool)
+    for e in net.edges:
+        used[list(e.chain)] = True
+    return np.nonzero(used)[0]

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grainflow.kernels import (Kernel, PSI_GRAD_BOUND, PSI_HESS_BOUND,
                                kernel_normalize, psi, psi_prime, psi_second)
 
-from oracles import C_EPS_HALF, C_EPS_TENTH, kernel_mass_oracle
+from oracles import (C_EPS_HALF, C_EPS_TENTH, kernel_mass_oracle,
+                     kernel_value_grad_full)
 
 
 def test_psi_profile_shape():
@@ -98,3 +100,24 @@ def test_product_rule_identity():
 def test_trunc_radius():
     assert Kernel.make(0.05).trunc_radius == pytest.approx(0.3)
     assert Kernel.make(0.5).trunc_radius == 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([0.05, 0.1, 0.2, 0.5]), st.integers(0, 2**32 - 1))
+def test_value_grad_matches_full_profile(eps, seed):
+    # the profile is evaluated only beyond r = 1/2; values and gradients must
+    # equal the evaluation at every radius bit for bit
+    rng = np.random.default_rng(seed)
+    k = Kernel.make(eps)
+    r = np.r_[0.0, 0.5, np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0), 1.0,
+              np.nextafter(1.0, 2.0), 1.3, rng.uniform(0.0, 1.5, 200)]
+    th = rng.uniform(0.0, 2.0 * np.pi, len(r))
+    d = np.concatenate([np.column_stack([r, np.zeros_like(r)]),
+                        r[:, None] * np.column_stack([np.cos(th), np.sin(th)]),
+                        rng.normal(scale=0.4, size=(100, 2))])
+    val, grad = k.value_grad(d)
+    val_ref, grad_ref = kernel_value_grad_full(k, d)
+    assert np.array_equal(val, val_ref) and np.array_equal(grad, grad_ref)
+    assert np.array_equal(k.value(d), val_ref)
+    v0, g0 = k.value_grad(d[1])
+    assert v0 == val_ref[1] and np.array_equal(g0, grad_ref[1])

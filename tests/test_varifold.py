@@ -3,17 +3,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import grainflow.varifold as vf
-from grainflow.domain import plane
+from grainflow.domain import plane, torus
+from grainflow.engine import _used_vertices
 from grainflow.kernels import Kernel
-from grainflow.scenes import parse_scene
-from grainflow.varifold import (VarifoldView, _h_eps_sparse,
+from grainflow.network import Edge, LabeledNetwork
+from grainflow.scenes import parse_scene, voronoi_scene
+from grainflow.varifold import (VarifoldView, _gather_windows,
                                 build_varifold_view, curvature_and_energy,
                                 first_variation, h_eps_at, l2_energy,
                                 omega_mass, smoothed_mean_curvature,
                                 smoothing_grid, weighted_first_variation)
 from grainflow.weights import const_weight, make_test_function
 
-from oracles import ngon_perimeter, ngon_vertices, quad_nodes_loop
+from oracles import (direct_gather_tree, direct_lattice_sums_tree,
+                     ngon_perimeter, ngon_vertices, quad_nodes_loop,
+                     segment_vertex_ids_loop, used_vertices_loop)
 
 
 class LinearField:
@@ -173,7 +177,7 @@ def test_separable_jacobian_matches_direct_sum():
     assert sg.separable
     targets = net.vertices[::8]
     h, J = h_eps_at(V, k, om, targets, want_jacobian=True)
-    h_ref, J_ref = _h_eps_sparse(V, k, sg, targets, want_jacobian=True)
+    h_ref, J_ref = _gather_windows(sg, k, targets, want_jacobian=True)
     # the same lattice field read by the product of Gaussian rows and by the
     # kernel truncated at 6 eps: they differ by the Gaussian tail, e^-18 in
     # value and 6 e^-18 ~ 1e-7 in the derivative
@@ -233,3 +237,114 @@ def test_curvature_sup_bound_respected():
     k = Kernel.make(0.05)
     h = h_eps_at(V, k, om, net.vertices)
     assert np.max(np.linalg.norm(h, axis=1)) <= 2.0 / k.eps**2
+
+
+def _check_windows_against_tree(V, eps, targets):
+    """Direct window sums against the KD-tree pair lists on the same lattice.
+
+    The lattice sums add each cell's nodes in the same ascending order, so
+    they are bit-equal; the gather may add a point's cells in another order.
+    """
+    om = const_weight()
+    k = Kernel.make(eps)
+    sg = smoothing_grid(V, k, om)
+    assert not sg.separable
+    mass, fv = direct_lattice_sums_tree(V, k, sg.points)
+    assert np.array_equal(sg.mass, mass) and np.array_equal(sg.fv, fv)
+    if len(sg.points):
+        denom = mass + eps * om.inv_value(sg.points)
+        energy = float(np.sum(om.value(sg.points) * np.sum(fv * fv, axis=1)
+                              / denom) * sg.cell)
+    else:
+        energy = 0.0
+    assert l2_energy(V, k, om) == energy
+    h, J = h_eps_at(V, k, om, targets, want_jacobian=True)
+    if len(sg.points):
+        h_ref, J_ref = direct_gather_tree(V, k, sg, targets)
+    else:
+        h_ref, J_ref = np.zeros((len(targets), 2)), np.zeros((len(targets), 2, 2))
+    assert np.max(np.abs(h - h_ref), initial=0.0) <= 1e-13 * np.max(
+        np.abs(h_ref), initial=0.0)
+    assert np.max(np.abs(J - J_ref), initial=0.0) <= 1e-13 * np.max(
+        np.abs(J_ref), initial=0.0)
+    return sg
+
+
+def _closed_view(domain, verts):
+    p0 = domain.wrap(verts)
+    p1 = p0 + domain.delta(p0, np.roll(p0, -1, axis=0))
+    d = p1 - p0
+    length = np.linalg.norm(d, axis=1)
+    return VarifoldView(domain, p0, p1, d / length[:, None], length,
+                        const_weight())
+
+
+@st.composite
+def direct_scenes(draw):
+    """(view, eps, gather targets) on the direct-kernel lattice path."""
+    kind = draw(st.sampled_from(["ngon", "torus-circle", "torus-lines", "empty"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "ngon":
+        eps = draw(st.sampled_from([0.1, 0.3, 0.5]))
+        n = draw(st.integers(3, 48))
+        c = rng.uniform(-1.0, 1.0, 2)
+        V = _closed_view(plane(), c + ngon_vertices(n, rng.uniform(0.1, 0.8)))
+        # off the carrier as far as windows over tiles that are not stored
+        off = c + rng.uniform(-3.0, 3.0, (24, 2))
+    elif kind == "torus-circle":
+        # m = 58 cells per period (phantom cells in the last tile), windows
+        # of 51 cells, circles across the seam
+        eps = 0.07
+        c = rng.uniform(0.0, 1.0, 2) if rng.random() < 0.5 else rng.choice(
+            [0.02, 0.98], 2)
+        V = _closed_view(torus(), c + ngon_vertices(draw(st.integers(3, 40)),
+                                                    rng.uniform(0.05, 0.3)))
+        off = rng.uniform(-0.5, 1.5, (24, 2))
+    elif kind == "torus-lines":
+        # 2k + 1 > m: every window is the whole period
+        eps = 0.2
+        net = parse_scene(TORUS_LINE.replace("0.25", repr(rng.uniform(0.0, 0.5))),
+                          h_max=0.05)
+        V = build_varifold_view(net, const_weight())
+        off = rng.uniform(0.0, 1.0, (24, 2))
+    else:
+        eps = draw(st.sampled_from([0.1, 0.5]))
+        z = np.zeros((0, 2))
+        V = VarifoldView(plane(), z, z, z, np.zeros(0), const_weight())
+        off = rng.uniform(-1.0, 1.0, (8, 2))
+    x = V.quad_nodes(min(V.h_sub, eps))[0]
+    return V, eps, np.concatenate([V.p0, x[::3], off])
+
+
+@settings(max_examples=30, deadline=None)
+@given(direct_scenes())
+def test_windows_match_tree_pairs(scene):
+    _check_windows_against_tree(*scene)
+
+
+def test_chunked_windows_match_tree_pairs():
+    # 1,024 nodes of 49 x 49 cells fill many window chunks, and so do the
+    # 1,024 node targets of the gather
+    net = parse_scene(CIRCLE.replace("r=1 n=256", "r=0.5 n=128"), h_max=0.0125)
+    V = build_varifold_view(net, const_weight())
+    x = V.quad_nodes(0.0125)[0]
+    sg = _check_windows_against_tree(V, 0.1, x)
+    w = 2 * sg.lattice.k + 1
+    assert len(x) * w * w > 4 * vf._WINDOW_CHUNK
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(3, 12), st.integers(0, 10_000))
+def test_chain_vertex_ids_match_loops(n, seed):
+    nets = [voronoi_scene(n, seed)]
+    # a zero-length segment carries no view segment
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    nets.append(LabeledNetwork(plane(), 2, verts, [Edge((0, 1, 2, 3, 0), 1, 2)]))
+    for net in nets:
+        V = build_varifold_view(net)
+        v0, v1 = segment_vertex_ids_loop(net)
+        assert V.v0.dtype == v0.dtype and np.array_equal(V.v0, v0)
+        assert V.v1.dtype == v1.dtype and np.array_equal(V.v1, v1)
+        used = _used_vertices(net)
+        assert used.dtype == used_vertices_loop(net).dtype
+        assert np.array_equal(used, used_vertices_loop(net))
