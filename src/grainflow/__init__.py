@@ -12,9 +12,9 @@ from .kernels import Kernel, kernel_normalize
 from .network import (Edge, LabeledNetwork, MeshScale, region_areas, remesh,
                       validate_partition)
 from .scenes import emit_scene, parse_scene
-from .varifold import (VarifoldView, build_varifold_view, convolve_mass,
-                       convolve_first_variation, first_variation, l2_energy,
-                       smoothed_mean_curvature, weighted_first_variation)
+from .varifold import (VarifoldView, build_varifold_view, first_variation,
+                       l2_energy, smoothed_mean_curvature,
+                       weighted_first_variation)
 from .weights import WeightFunction, const_weight, exp_weight, make_test_function
 
 __all__ = [n for n in dir() if not n.startswith("_")]

@@ -2,8 +2,10 @@
 
 Brakke-inequality residual, a truncated backward-heat (Huisken) functional,
 density-ratio scans with exact segment-ball clipping, the Holder-1/2 modulus
-of grain areas, and a sphere-barrier check.  Everything here is read-only
-over the trace; nothing asserts, callers compare against their slacks.
+of grain areas from exact symmetric-difference areas (an overlay of two
+frames' slab sweeps), and a sphere-barrier check.  Everything here is
+read-only over the trace; nothing asserts, callers compare against their
+slacks.
 """
 
 from dataclasses import dataclass
@@ -130,10 +132,7 @@ class DensityTable:
 def density_ratio_scan(net, radii, points=None, s=1.0, tol=1e-9):
     radii = np.asarray(radii, dtype=float)
     if points is None:
-        used = np.zeros(len(net.vertices), dtype=bool)
-        for e in net.edges:
-            used[list(e.chain)] = True
-        points = net.vertices[used]
+        points = net.vertices[np.unique(net.chain_entries()[0])]
     points = np.atleast_2d(np.asarray(points, dtype=float))
     ratios = np.empty((len(points), len(radii)))
     for i, x in enumerate(points):
@@ -147,70 +146,81 @@ def density_ratio_scan(net, radii, points=None, s=1.0, tol=1e-9):
 # ---- grain-area Holder modulus ---------------------------------------------------
 
 
-def symmetric_difference_area(net_a, net_b, label, window_center=None,
-                              window_radius=None, coarse=0.02, fine_factor=8):
+def _frame_slabs(sweep, xs):
+    """The sweep's slab holding each slab [xs[k], xs[k+1]] of a finer cut."""
+    xm = 0.5 * (xs[:-1] + xs[1:])
+    return np.clip(np.searchsorted(sweep.xs, xm, side="right") - 1,
+                   0, len(sweep.xs) - 2)
+
+
+def symmetric_difference_area(net_a, net_b, label):
     """Area of the label's region symmetric difference between two frames.
 
-    Two-level grid: coarse cells whose centers sit farther from both carriers
-    than the cell diagonal are classified wholesale; cells near either
-    boundary are refined fine_factor x fine_factor.  Each frame's slab sweep
-    is built once and locates every sample point.
+    Exact overlay of the two frames' slab sweeps.  The slab edges are both
+    sweeps' x breakpoints plus the x of every proper crossing of a segment of
+    one frame with a segment of the other, found per slab from a sign change
+    of their height difference between the slab's edges (wrapped on the
+    torus).  Inside a slab no two segments cross, so the gaps between both
+    frames' crossings, sorted by height at the slab midpoint, are trapezoids
+    of constant label in each frame: cyclic in y on the torus, closed by the
+    bounding box in the plane.  A gap counts when exactly one frame labels
+    its midpoint `label`.
     """
-    from scipy.spatial import cKDTree
     dom = net_a.domain
+    sweeps = (slab_sweep(net_a), slab_sweep(net_b))
+    xs = np.union1d(sweeps[0].xs, sweeps[1].xs)
+    # each frame's crossing count and heights at both edges of every slab
+    edges = []
+    for sw in sweeps:
+        k = _frame_slabs(sw, xs)
+        _, valid, left = sw.crossings(k, xs[:-1])
+        edges.append((valid.sum(axis=1), left, sw.crossings(k, xs[1:])[2]))
+    (na, la, ra), (nb, lb, rb) = edges
+    # every (a, b) crossing pair of each slab
+    c = na * nb
+    slab = np.repeat(np.arange(len(c)), c)
+    q = np.arange(len(slab)) - np.repeat(np.cumsum(c) - c, c)
+    i, j = q // nb[slab], q % nb[slab]
+    dl = la[slab, i] - lb[slab, j]
+    dr = ra[slab, i] - rb[slab, j]
     if dom.periodic:
-        lo = np.array([0.0, 0.0])
-        hi = np.array([1.0, 1.0])
-    else:
-        lo = np.array(dom.bbox[:2], dtype=float)
-        hi = np.array(dom.bbox[2:], dtype=float)
-    if window_center is not None and window_radius is not None:
-        c = np.asarray(window_center, dtype=float)
-        lo = np.maximum(lo, c - window_radius)
-        hi = np.minimum(hi, c + window_radius)
-    nx = max(1, int(np.ceil((hi[0] - lo[0]) / coarse)))
-    ny = max(1, int(np.ceil((hi[1] - lo[1]) / coarse)))
-    sx = (hi[0] - lo[0]) / nx
-    sy = (hi[1] - lo[1]) / ny
-    cx = lo[0] + (np.arange(nx) + 0.5) * sx
-    cy = lo[1] + (np.arange(ny) + 0.5) * sy
-    gx, gy = np.meshgrid(cx, cy, indexing="ij")
-    centers = np.column_stack([gx.ravel(), gy.ravel()])
+        # segments move far less than half a period in y across a slab
+        off = np.round(dl)
+        dl, dr = dl - off, dr - off
+    cut = dl * dr < 0.0
+    x0, x1 = xs[slab[cut]], xs[slab[cut] + 1]
+    xs = np.union1d(xs, x0 + (x1 - x0) * (dl[cut] / (dl[cut] - dr[cut])))
 
-    def carrier_points(net):
-        p0, p1, _, _, _ = net.segment_arrays()
-        # midpoints suffice at this resolution; segments are <= h_max long
-        return np.concatenate([p0, 0.5 * (p0 + p1)]) if len(p0) else np.zeros((0, 2))
-
-    carrier = np.concatenate([carrier_points(net_a), carrier_points(net_b)])
+    xm = 0.5 * (xs[:-1] + xs[1:])
+    ys, n = [], 0
+    for sw in sweeps:
+        _, valid, y = sw.crossings(_frame_slabs(sw, xs), xm)
+        if dom.periodic:
+            y = np.mod(y, 1.0)
+        ys.append(np.where(valid, y, np.inf))
+        n = n + valid.sum(axis=1)
+    ys.append(np.full((len(xm), 1), np.inf))
+    y = np.sort(np.concatenate(ys, axis=1), axis=1)
+    rows = np.arange(len(xm))
     if dom.periodic:
-        tree = cKDTree(np.mod(carrier, 1.0), boxsize=1.0)
-        q = np.mod(centers, 1.0)
+        # gap c runs from crossing c up to the next, the last one wrapping
+        # round to the first; an uncovered slab is one gap of height 1
+        y[n == 0, 0] = 0.0
+        n = np.maximum(n, 1)
+        lo, hi = y, np.roll(y, -1, axis=1)
+        hi[rows, n - 1] = y[:, 0] + 1.0
+        live = np.arange(y.shape[1]) < n[:, None]
     else:
-        tree = cKDTree(carrier)
-        q = centers
-    diag = np.hypot(sx, sy)
-    dist, _ = tree.query(q, k=1, distance_upper_bound=2.0 * diag)
-    far = ~np.isfinite(dist)
-
-    sweep_a, sweep_b = slab_sweep(net_a), slab_sweep(net_b)
-
-    def xor(pts):
-        return (sweep_a.labels(pts) == label) != (sweep_b.labels(pts) == label)
-
-    area = 0.0
-    cell = sx * sy
-    if np.any(far):
-        area += cell * float(np.sum(xor(centers[far])))
-    near = centers[~far]
-    if len(near):
-        f = fine_factor
-        ox = (np.arange(f) + 0.5) / f - 0.5
-        sub = np.stack(np.meshgrid(ox * sx, ox * sy, indexing="ij"),
-                       axis=-1).reshape(-1, 2)
-        pts = (near[:, None, :] + sub[None, :, :]).reshape(-1, 2)
-        area += (cell / (f * f)) * float(np.sum(xor(pts)))
-    return area
+        _, y_lo, _, y_hi = dom.bbox
+        lo = np.concatenate([np.full((len(xm), 1), y_lo), y[:, :-1]], axis=1)
+        hi = y.copy()
+        hi[rows, n] = y_hi
+        live = np.arange(y.shape[1]) <= n[:, None]
+    k, col = np.nonzero(live)
+    lo, hi = lo[k, col], hi[k, col]
+    mid = np.column_stack([xm[k], 0.5 * (lo + hi)])
+    xor = (sweeps[0].labels(mid) == label) != (sweeps[1].labels(mid) == label)
+    return float(np.sum(np.diff(xs)[k] * (hi - lo) * xor))
 
 
 @dataclass
@@ -219,8 +229,7 @@ class AreaModulus:
     pairs: list  # (t, s, g(t,s)) samples
 
 
-def area_modulus(trace, label, window_radius=None, window_center=None,
-                 t_min=0.0, t_max=np.inf, max_frames=10):
+def area_modulus(trace, label, t_min=0.0, t_max=np.inf, max_frames=10):
     """sup over frame pairs of g(t,s)/sqrt(|t-s|), g = symmetric-difference area."""
     idx = [i for i, t in enumerate(trace.times)
            if t_min - 1e-15 <= t <= t_max + 1e-15]
@@ -236,7 +245,7 @@ def area_modulus(trace, label, window_radius=None, window_center=None,
             if s - t < 1e-12:
                 continue
             g = symmetric_difference_area(trace.frames[i], trace.frames[k],
-                                          label, window_center, window_radius)
+                                          label)
             pairs.append((t, s, g))
             best = max(best, g / np.sqrt(s - t))
     return AreaModulus(best, pairs)

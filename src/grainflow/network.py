@@ -279,6 +279,10 @@ def validate_partition(net: LabeledNetwork):
 # ---- vertical slab sweep: region areas and point location --------------------
 
 
+# heights closer than this at a slab edge count as one vertex's crossings
+_TIE = 1e-12
+
+
 @dataclass
 class SlabSweep:
     """Vertical slabs between consecutive segment endpoint x values.
@@ -297,6 +301,19 @@ class SlabSweep:
     seg: np.ndarray
     ym: np.ndarray
 
+    def crossings(self, k, x):
+        """Segments crossing slabs k (G,) and their heights at x (G,), each x
+        within its slab: (seg, valid, y), padded to the widest slab (G, n).
+
+        Heights are unwrapped (not taken mod 1) on the torus."""
+        n = self.start[k + 1] - self.start[k]
+        slot = np.arange(n.max(initial=0))
+        valid = slot[None, :] < n[:, None]
+        s = self.seg[np.where(valid, self.start[k, None] + slot, 0)]
+        a, b = self.a[s], self.b[s]
+        t = (x[:, None] - a[..., 0]) / (b[..., 0] - a[..., 0])
+        return s, valid, a[..., 1] + t * (b[..., 1] - a[..., 1])
+
     def labels(self, points):
         """Label of each point's region; see label_at_points."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -309,24 +326,30 @@ class SlabSweep:
             x, y = np.mod(x, 1.0), np.mod(y, 1.0)
         k = np.clip(np.searchsorted(self.xs, x, side="right") - 1,
                     0, len(self.xs) - 2)
+        # a slab of width <= 1e-15 can miss crossings (its midpoint rounds
+        # onto an edge): its points go to the next wider slab
+        w = np.diff(self.xs)
+        k = np.minimum.accumulate(np.where(
+            w > 1e-15, np.arange(len(w)), len(w) - 1)[::-1])[::-1][k]
         n = self.start[k + 1] - self.start[k]
         hit = np.nonzero(n > 0)[0]
         if len(hit):
-            # each point's slab crossings, padded to the widest such slab
-            slot = np.arange(n[hit].max())
-            valid = slot[None, :] < n[hit, None]
-            s = self.seg[np.where(valid, self.start[k[hit], None] + slot, 0)]
-            a, b = self.a[s], self.b[s]
-            t = (x[hit, None] - a[..., 0]) / (b[..., 0] - a[..., 0])
-            yc = a[..., 1] + t * (b[..., 1] - a[..., 1])
+            s, valid, yc = self.crossings(k[hit], x[hit])
             gap = y[hit, None] - yc
             if dom.periodic:
                 gap = np.mod(gap, 1.0)
             gap = np.where(valid & (gap >= 0.0), gap, np.inf)
-            rows, pick = np.arange(len(hit)), np.argmin(gap, axis=1)
+            # crossings that start at one vertex on the slab's left edge tie
+            # there up to roundoff; inside the slab the steepest lies highest
+            slope = (self.b[s, 1] - self.a[s, 1]) / (self.b[s, 0] - self.a[s, 0])
+            near = gap <= gap.min(axis=1, keepdims=True) + _TIE
+            rows = np.arange(len(hit))
+            pick = np.argmax(np.where(near, slope, -np.inf), axis=1)
             lab = self.above[s[rows, pick]]
             if not dom.periodic:  # below every crossing: the lowest one's
-                low = np.argmin(np.where(valid, yc, np.inf), axis=1)
+                yv = np.where(valid, yc, np.inf)
+                near = yv <= yv.min(axis=1, keepdims=True) + _TIE
+                low = np.argmin(np.where(near, slope, np.inf), axis=1)
                 lab = np.where(np.isfinite(gap[rows, pick]), lab,
                                self.below[s[rows, low]])
             out[hit] = lab
@@ -542,11 +565,18 @@ def _nearest_boundary_labels(net: LabeledNetwork, points):
     d = p1 - p0  # (S,2)
     ll = np.sum(d * d, axis=1)
     # displacement of each point from each segment start (torus aware)
-    rel = net.domain.delta(p0[None, :, :], points[:, None, :])  # (N,S,2)
-    t = np.clip(np.einsum("nsk,sk->ns", rel, d) / ll[None, :], 0.0, 1.0)
-    closest = t[..., None] * d[None, :, :]
-    off = rel - closest
+    rel = net.domain.delta(p0[None, :, :], points[:, None, :])[:, :, None]
+    if net.domain.periodic:
+        # the point's image nearest a segment need not be the one nearest
+        # its start: try the neighbouring images and keep the nearest
+        rel = rel + np.stack(np.meshgrid([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]),
+                             axis=-1).reshape(-1, 2)
+    t = np.clip(np.einsum("nsik,sk->nsi", rel, d) / ll[None, :, None], 0.0, 1.0)
+    off = rel - t[..., None] * d[None, :, None, :]  # (N,S,images,2)
     dist = np.sqrt(np.sum(off * off, axis=-1))
+    best = np.argmin(dist, axis=2)[..., None]
+    dist = np.take_along_axis(dist, best, axis=2)[..., 0]
+    off = np.take_along_axis(off, best[..., None], axis=2)[:, :, 0]
     cross = d[None, :, 0] * off[..., 1] - d[None, :, 1] * off[..., 0]
     # prefer the most transversal segment among near-ties (junction vicinity)
     near = dist <= (np.min(dist, axis=1, keepdims=True) + 1e-12)
@@ -563,7 +593,9 @@ def label_at_points(net: LabeledNetwork, points):
     above the nearest crossing below it in its slab (cyclically in y on the
     torus; in the plane, below the lowest crossing it takes that crossing's
     lower label).  A point on a boundary gets the label above it; a point on
-    a slab edge belongs to the slab on its right.
+    a slab edge belongs to the slab on its right (the nearest one wider than
+    1e-15), where the crossings leaving a vertex on that edge are ordered by
+    slope.
     """
     return slab_sweep(net).labels(points)
 

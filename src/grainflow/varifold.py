@@ -19,17 +19,18 @@ feed the smoothed mean curvature
     h_tilde(y) = -(Phi_eps * dV)(y) / ((Phi_eps * |V|)(y) + eps / Omega(y))
     h_eps      = Phi_eps * h_tilde
 
-where the outer convolution is a Riemann sum over one lattice: spacing eps/4
-in the plane, 1/m with m = ceil(4/eps) on the torus (cell indices mod m).  Its
-cells sit at global indices in S x S tiles; a tile is stored when the window
-[t S - k, t S + S + k), k = ceil(trunc_radius / spacing), of a tile t holding
-quadrature nodes touches it, so memory scales with the carrier length and h
-at a point depends only on the carrier near it.  `_separable` picks the one
-kernel that fills and reads the cells: products of 1D Gaussian rows, one
-window per tile by matrix products, where the cutoff profile is 1 on the
-window; otherwise direct sums of the kernel truncated at min(1, 6 eps) over
-each point's window of the (2k + 1)^2 cells around the cell holding it.
-Beyond 6 eps the Gaussian factor is below e^-18, which bounds how far the two
+The two convolutions, and so h_tilde, are evaluated only at the cells of
+one lattice, and the outer convolution is a Riemann sum over those cells:
+spacing eps/4 in the plane, 1/m with m = ceil(4/eps) on the torus (cell
+indices mod m).  Its cells sit at global indices in S x S tiles; a tile is
+stored when the window [t S - k, t S + S + k), k = ceil(trunc_radius /
+spacing), of a tile t holding quadrature nodes touches it, so memory scales
+with the carrier length and h at a point depends only on the carrier near
+it.  `_separable` picks the one kernel that fills and reads the cells:
+products of 1D Gaussian rows, one window per tile by matrix products, where
+the cutoff profile is 1 on the window; otherwise direct sums of the kernel
+truncated at min(1, 6 eps) over each point's window of the (2k + 1)^2 cells
+around the cell holding it.  Beyond 6 eps the Gaussian factor is below e^-18, which bounds how far the two
 kernels differ.  The L^2 curvature proxy is
 
     energy = int |Phi_eps * dV|^2 Omega / (Phi_eps * |V| + eps/Omega) dy.
@@ -38,7 +39,6 @@ kernels differ.  The L^2 curvature proxy is
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .domain import Domain
 from .kernels import Kernel
@@ -154,7 +154,6 @@ def weighted_first_variation_of_field(V: VarifoldView, phi, h_at_nodes, nodes_w,
 
 # ---- kernel-weighted accumulation --------------------------------------------
 
-_PAIR_CHUNK = 4_000_000
 # window cells per chunk of the direct lattice sums: chunks of 64k keep the
 # temporaries in cache (1M-cell chunks ran 1.5-2x slower)
 _WINDOW_CHUNK = 1 << 16
@@ -164,74 +163,6 @@ def _kernel_cap(V, eps):
     # GL-4 on subintervals of size eps resolves the Gaussian scale to better
     # than 1e-9 relative; no need to go finer than the mesh already is
     return min(V.h_sub, eps)
-
-
-def _node_tree(dom: Domain, pts):
-    if dom.periodic:
-        return cKDTree(np.mod(pts, 1.0), boxsize=1.0)
-    return cKDTree(pts)
-
-
-def _accumulate(dom, kernel, targets, nodes, node_w, node_tau,
-                want_mass=True, want_fv=False):
-    """Sum of kernel (and projected kernel-gradient) contributions at targets.
-
-    Returns (mass, fv) with fv = None unless requested.  Displacements are
-    node - target, minimum image on the torus; pairs beyond the truncation
-    radius contribute below the e^-18 Gaussian floor and are skipped.
-    """
-    m = len(targets)
-    mass = np.zeros(m) if want_mass else None
-    fv = np.zeros((m, 2)) if want_fv else None
-    if len(nodes) == 0 or m == 0:
-        return mass, fv
-    r = kernel.trunc_radius
-    tree = _node_tree(dom, nodes)
-    q = np.mod(targets, 1.0) if dom.periodic else targets
-    # chunk target points so the flattened pair arrays stay bounded; probe a
-    # sample for the neighbor count (area fractions misestimate thin carriers)
-    probe = q[:: max(1, m // 256)][:256]
-    counts = tree.query_ball_point(probe, r, return_length=True)
-    approx_per = max(1, int(np.mean(counts)) if len(counts) else 1)
-    step = max(64, _PAIR_CHUNK // approx_per)
-    for lo in range(0, m, step):
-        hi = min(m, lo + step)
-        lists = tree.query_ball_point(q[lo:hi], r, workers=-1)
-        counts = np.fromiter((len(l) for l in lists), dtype=int, count=hi - lo)
-        if counts.sum() == 0:
-            continue
-        ti = np.repeat(np.arange(lo, hi), counts)
-        ni = np.concatenate([np.asarray(l, dtype=int) for l in lists if l])
-        d = dom.delta(targets[ti], nodes[ni])
-        if want_fv:
-            val, grad = kernel.value_grad(d)
-            proj = np.einsum("pk,pk->p", node_tau[ni], grad)
-            contrib = (node_w[ni] * proj)[:, None] * node_tau[ni]
-            fv[:, 0] += np.bincount(ti, weights=contrib[:, 0], minlength=m)
-            fv[:, 1] += np.bincount(ti, weights=contrib[:, 1], minlength=m)
-            if want_mass:
-                mass += np.bincount(ti, weights=node_w[ni] * val, minlength=m)
-        else:
-            val = kernel.value(d)
-            mass += np.bincount(ti, weights=node_w[ni] * val, minlength=m)
-    return mass, fv
-
-
-def convolve_mass(V: VarifoldView, kernel: Kernel, y):
-    """(Phi_eps * |V|) at point(s) y."""
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    x, w, tau, _, _ = V.quad_nodes(_kernel_cap(V, kernel.eps))
-    mass, _ = _accumulate(V.domain, kernel, y, x, w, tau, want_mass=True)
-    return mass if mass.shape[0] > 1 else float(mass[0])
-
-
-def convolve_first_variation(V: VarifoldView, kernel: Kernel, y):
-    """(Phi_eps * dV) at point(s) y: tangentially projected kernel gradient."""
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    x, w, tau, _, _ = V.quad_nodes(_kernel_cap(V, kernel.eps))
-    _, fv = _accumulate(V.domain, kernel, y, x, w, tau,
-                        want_mass=False, want_fv=True)
-    return fv if fv.shape[0] > 1 else fv[0]
 
 
 # ---- smoothing lattice --------------------------------------------------------
@@ -491,15 +422,6 @@ def smoothing_grid(V: VarifoldView, kernel: Kernel, omega: WeightFunction):
     return out
 
 
-def h_tilde_at(V, kernel, omega, points):
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    x, w, tau, _, _ = V.quad_nodes(_kernel_cap(V, kernel.eps))
-    mass, fv = _accumulate(V.domain, kernel, points, x, w, tau,
-                           want_mass=True, want_fv=True)
-    denom = mass + kernel.eps * omega.inv_value(points)
-    return -fv / denom[:, None]
-
-
 def _gather_blocks(sg, kernel, points, want_jacobian):
     """Separable Phi_eps * h_tilde at points, and its Jacobian, per tile.
 
@@ -602,6 +524,11 @@ def curvature_and_energy(V: VarifoldView, kernel: Kernel, omega: WeightFunction,
 
 @dataclass
 class CurvatureField:
+    """h_eps at the given points, and h_tilde on the cells of the lattice
+    that h_eps = Phi_eps * h_tilde sums over (`SmoothingGrid.points`).
+
+    sup |h_tilde| over those cells bounds sup |h_eps| everywhere, since the
+    lattice sum of Phi_eps is 1 up to quadrature error."""
     points: np.ndarray
     h_tilde: np.ndarray
     h_eps: np.ndarray
@@ -625,10 +552,9 @@ class CurvatureField:
 def smoothed_mean_curvature(V: VarifoldView, kernel: Kernel,
                             omega: WeightFunction, points):
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    ht = h_tilde_at(V, kernel, omega, points)
-    h = h_eps_at(V, kernel, omega, points)
-    energy = l2_energy(V, kernel, omega)
-    return CurvatureField(points, ht, h, energy, kernel.eps)
+    h, energy = curvature_and_energy(V, kernel, omega, points)
+    return CurvatureField(points, smoothing_grid(V, kernel, omega).h_tilde, h,
+                          energy, kernel.eps)
 
 
 # ---- motion-law consistency terms ----------------------------------------------

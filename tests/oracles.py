@@ -10,7 +10,7 @@ import numpy as np
 from scipy import integrate
 from scipy.spatial import cKDTree
 
-from grainflow.network import Edge, LabeledNetwork, compact
+from grainflow.network import Edge, LabeledNetwork, compact, slab_sweep
 
 # normalization constants of the truncated Gaussian, frozen from a 30-digit
 # mpmath radial quadrature of the quintic-smoothstep profile
@@ -278,3 +278,89 @@ def used_vertices_loop(net):
     for e in net.edges:
         used[list(e.chain)] = True
     return np.nonzero(used)[0]
+
+
+# ---- reference for the exact symmetric-difference overlay ----------------------
+
+
+def symmetric_difference_grid(net_a, net_b, label, coarse=0.02, fine_factor=8):
+    """Area of the label's region symmetric difference by point sampling.
+
+    Two-level grid: coarse cells whose centers sit farther from both carriers
+    than twice the cell diagonal are classified wholesale; cells near either
+    boundary are refined fine_factor x fine_factor.  Each frame's slab sweep
+    locates every sample point.  Every misclassified point lies within one
+    fine-cell diagonal of a boundary.
+    """
+    dom = net_a.domain
+    if dom.periodic:
+        lo = np.array([0.0, 0.0])
+        hi = np.array([1.0, 1.0])
+    else:
+        lo = np.array(dom.bbox[:2], dtype=float)
+        hi = np.array(dom.bbox[2:], dtype=float)
+    nx = max(1, int(np.ceil((hi[0] - lo[0]) / coarse)))
+    ny = max(1, int(np.ceil((hi[1] - lo[1]) / coarse)))
+    sx = (hi[0] - lo[0]) / nx
+    sy = (hi[1] - lo[1]) / ny
+    cx = lo[0] + (np.arange(nx) + 0.5) * sx
+    cy = lo[1] + (np.arange(ny) + 0.5) * sy
+    gx, gy = np.meshgrid(cx, cy, indexing="ij")
+    centers = np.column_stack([gx.ravel(), gy.ravel()])
+
+    def carrier_points(net):
+        p0, p1, _, _, _ = net.segment_arrays()
+        # midpoints suffice at this resolution; segments are <= h_max long
+        return np.concatenate([p0, 0.5 * (p0 + p1)]) if len(p0) else np.zeros((0, 2))
+
+    carrier = np.concatenate([carrier_points(net_a), carrier_points(net_b)])
+    if dom.periodic:
+        tree = cKDTree(np.mod(carrier, 1.0), boxsize=1.0)
+        q = np.mod(centers, 1.0)
+    else:
+        tree = cKDTree(carrier)
+        q = centers
+    diag = np.hypot(sx, sy)
+    dist, _ = tree.query(q, k=1, distance_upper_bound=2.0 * diag)
+    far = ~np.isfinite(dist)
+
+    sweep_a, sweep_b = slab_sweep(net_a), slab_sweep(net_b)
+
+    def xor(pts):
+        return (sweep_a.labels(pts) == label) != (sweep_b.labels(pts) == label)
+
+    area = 0.0
+    cell = sx * sy
+    if np.any(far):
+        area += cell * float(np.sum(xor(centers[far])))
+    near = centers[~far]
+    if len(near):
+        f = fine_factor
+        ox = (np.arange(f) + 0.5) / f - 0.5
+        sub = np.stack(np.meshgrid(ox * sx, ox * sy, indexing="ij"),
+                       axis=-1).reshape(-1, 2)
+        pts = (near[:, None, :] + sub[None, :, :]).reshape(-1, 2)
+        area += (cell / (f * f)) * float(np.sum(xor(pts)))
+    return area
+
+
+def convex_intersection_area(p, q):
+    """Area of the intersection of two counterclockwise convex polygons
+    (vertex arrays), by clipping p against each edge of q."""
+    def cross(u, v):
+        return u[0] * v[1] - u[1] * v[0]
+
+    out = [np.asarray(v, dtype=float) for v in p]
+    for a, b in zip(q, np.roll(q, -1, axis=0)):
+        inp, out = out, []
+        for s, e in zip(inp, inp[1:] + inp[:1]):
+            s_in, e_in = cross(b - a, s - a) >= 0.0, cross(b - a, e - a) >= 0.0
+            if s_in != e_in:
+                t = cross(b - a, a - s) / cross(b - a, e - s)
+                out.append(s + t * (e - s))
+            if e_in:
+                out.append(e)
+        if not out:
+            return 0.0
+    x, y = np.asarray(out).T
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))

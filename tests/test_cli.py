@@ -95,6 +95,19 @@ def test_paper_mode_runs_with_diagnostics(tmp_path):
     assert recs[0]["mass"] == pytest.approx(2.0, abs=1e-12)
 
 
+def test_modulus_diagnostic_of_static_scene_is_zero(tmp_path):
+    # straight bands do not move, so no frame pair changes any grain's area
+    scene = write_scene(tmp_path, TWO_BANDS)
+    out = str(tmp_path / "out")
+    rc = cli_main(["--scene", scene, "--epsilon", "0.2", "--dt", "0.002",
+                   "--steps", "4", "--frame-every", "2",
+                   "--diagnostics", "modulus", "--out", out])
+    assert rc == 0
+    assert len([f for f in os.listdir(out) if f.startswith("frame_")]) == 3
+    diag = json.load(open(os.path.join(out, "diagnostics.json")))
+    assert diag["modulus"] == {"1": 0.0, "2": 0.0}
+
+
 def test_determinism_byte_identical(tmp_path):
     scene = write_scene(tmp_path, CIRCLE)
     outs = []

@@ -169,6 +169,23 @@ def test_sweep_labels_match_nearest_boundary_ngon(n, r, pts_seed):
 
 
 @settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       n=st.integers(min_value=3, max_value=12),
+       pts_seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_sweep_labels_on_vertex_slab_edges(seed, n, pts_seed):
+    # a point straight above or below a vertex sits on a slab edge, where the
+    # crossings that start at that vertex all have the vertex's height (a
+    # 4n-gon has no vertical chord, on which both rules would be ambiguous)
+    rng = np.random.default_rng(pts_seed)
+    for net, lo, hi in ((voronoi_scene(n, seed), 0.0, 1.0),
+                        (circle_net(n=4 * n, r=0.7), -1.5, 1.5)):
+        x = net.vertices[rng.integers(len(net.vertices), size=400), 0]
+        pts = np.column_stack([x, rng.uniform(lo, hi, size=400)])
+        assert np.array_equal(label_at_points(net, pts),
+                              _nearest_boundary_labels(net, pts))
+
+
+@settings(max_examples=10, deadline=None)
 @given(pts_seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_sweep_labels_match_nearest_boundary_two_bands(pts_seed):
     net = parse_scene(TWO_BANDS)
