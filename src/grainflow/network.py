@@ -14,7 +14,8 @@ of the next.
 """
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -27,6 +28,12 @@ class Edge:
     chain: tuple  # vertex indices, len >= 2; closed loop iff chain[0]==chain[-1]
     left: int
     right: int
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -42,37 +49,52 @@ class MeshScale:
 
 @dataclass
 class LabeledNetwork:
+    """An immutable value: `vertices` is made read-only on construction and
+    nothing edits `edges` in place, so the derived arrays (chain entries,
+    segment arrays) are computed once per network, cached and returned
+    read-only.  To change a network, build a new one."""
     domain: Domain
     n_labels: int
     vertices: np.ndarray  # (V, 2)
     edges: list  # of Edge
     scale: MeshScale = field(default_factory=MeshScale)
 
+    def __post_init__(self):
+        self.vertices = np.asarray(self.vertices, dtype=float)
+        self.vertices.flags.writeable = False
+
     def copy(self):
         return LabeledNetwork(self.domain, self.n_labels,
                               self.vertices.copy(), list(self.edges), self.scale)
 
-    # ---- derived segment arrays -------------------------------------------
+    # ---- derived arrays, cached -------------------------------------------
+
+    @cached_property
+    def _chains(self):
+        every = np.fromiter(
+            itertools.chain.from_iterable(e.chain for e in self.edges), dtype=int)
+        n = np.array([len(e.chain) for e in self.edges], dtype=int)
+        last = np.cumsum(n) - 1
+        return _read_only(every, last - n + 1, last)
+
+    @cached_property
+    def _segments(self):
+        """(p0, p1, edge_id, left, right, d) in one pass over the chains, where
+        d = delta(p0, next vertex) and p1 = p0 + d."""
+        every, first, last = self._chains
+        p0 = self.vertices[np.delete(every, last)]
+        d = self.domain.delta(p0, self.vertices[np.delete(every, first)])
+        n = last - first  # segments per edge
+        labels = np.array([(e.left, e.right) for e in self.edges],
+                          dtype=int).reshape(-1, 2)
+        return _read_only(p0, p0 + d, np.repeat(np.arange(len(n)), n),
+                          np.repeat(labels[:, 0], n),
+                          np.repeat(labels[:, 1], n), d)
 
     def segment_arrays(self):
-        """(p0, p1, edge_id) with p1 unwrapped next to p0 on the torus."""
-        p0s, p1s, eids, lefts, rights = [], [], [], [], []
-        for ei, e in enumerate(self.edges):
-            idx = np.asarray(e.chain)
-            a = self.vertices[idx[:-1]]
-            b = self.vertices[idx[1:]]
-            d = self.domain.delta(a, b)
-            p0s.append(a)
-            p1s.append(a + d)
-            eids.append(np.full(len(idx) - 1, ei))
-            lefts.append(np.full(len(idx) - 1, e.left))
-            rights.append(np.full(len(idx) - 1, e.right))
-        if not p0s:
-            z = np.zeros((0, 2))
-            zi = np.zeros(0, dtype=int)
-            return z, z, zi, zi, zi
-        return (np.concatenate(p0s), np.concatenate(p1s),
-                np.concatenate(eids), np.concatenate(lefts), np.concatenate(rights))
+        """(p0, p1, edge_id, left, right) per segment, chains in edge order,
+        with p1 unwrapped next to p0 on the torus."""
+        return self._segments[:5]
 
     def segment_lengths(self):
         p0, p1, _, _, _ = self.segment_arrays()
@@ -89,23 +111,20 @@ class LabeledNetwork:
         One entry per edge-end.  Labels are as seen walking outward from the
         vertex; forward is True for the chain-start end.
         """
+        every, first, last = self._chains
+        v = self.vertices
+        d0 = self.domain.delta(v[every[first]], v[every[first + 1]])
+        d1 = self.domain.delta(v[every[last]], v[every[last - 1]])
         ends = {}
         for ei, e in enumerate(self.edges):
-            c = e.chain
-            d0 = self.domain.delta(self.vertices[c[0]], self.vertices[c[1]])
-            d1 = self.domain.delta(self.vertices[c[-1]], self.vertices[c[-2]])
-            ends.setdefault(c[0], []).append((d0, e.left, e.right, ei, True))
-            ends.setdefault(c[-1], []).append((d1, e.right, e.left, ei, False))
+            ends.setdefault(e.chain[0], []).append((d0[ei], e.left, e.right, ei, True))
+            ends.setdefault(e.chain[-1], []).append((d1[ei], e.right, e.left, ei, False))
         return ends
 
     def chain_entries(self):
         """Every chain's vertex indices concatenated in edge order, and the
         positions of each chain's first and last entry in that array."""
-        every = np.fromiter(
-            itertools.chain.from_iterable(e.chain for e in self.edges), dtype=int)
-        n = np.array([len(e.chain) for e in self.edges], dtype=int)
-        last = np.cumsum(n) - 1
-        return every, last - n + 1, last
+        return self._chains
 
     def vertex_degrees(self):
         """Edge-ends per vertex: chain ends count 1 each, interior vertices 2."""
@@ -205,9 +224,9 @@ def validate_partition(net: LabeledNetwork):
                 break
 
     # minimum vertex separation (used vertices only)
+    every, first, last = net.chain_entries()
     used = np.zeros(nv, dtype=bool)
-    for e in net.edges:
-        used[list(e.chain)] = True
+    used[every] = True
     pts = net.vertices[used]
     if len(pts) > 1:
         if net.domain.periodic:
@@ -222,13 +241,14 @@ def validate_partition(net: LabeledNetwork):
             # genuine near self-touch rather than a single small feature
             import heapq
             cap_len = 4.0 * net.scale.h_min
+            # the batched matmul gives np.linalg.norm's bits on each pair
+            d = net._segments[5]
+            length = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
             nbr = {}
-            for e in net.edges:
-                for a, b in zip(e.chain[:-1], e.chain[1:]):
-                    w = float(np.linalg.norm(net.domain.delta(
-                        net.vertices[a], net.vertices[b])))
-                    nbr.setdefault(a, []).append((b, w))
-                    nbr.setdefault(b, []).append((a, w))
+            for a, b, w in zip(np.delete(every, last).tolist(),
+                               np.delete(every, first).tolist(), length.tolist()):
+                nbr.setdefault(a, []).append((b, w))
+                nbr.setdefault(b, []).append((a, w))
 
             def near_in_graph(a, b):
                 # shortest-path search bounded by cap_len
@@ -353,15 +373,20 @@ class SlabSweep:
                 lab = np.where(np.isfinite(gap[rows, pick]), lab,
                                self.below[s[rows, low]])
             out[hit] = lab
-        # an uncovered slab is one region: locate it once at a probe point
         empty = np.unique(k[n == 0])
         if len(empty):
-            y_mid = 0.5 if dom.periodic else 0.5 * (dom.bbox[1] + dom.bbox[3])
-            xm = 0.5 * (self.xs[empty] + self.xs[empty + 1])
-            probe = _nearest_boundary_labels(
-                self.net, np.column_stack([xm, np.full_like(xm, y_mid)]))
-            out[n == 0] = probe[np.searchsorted(empty, k[n == 0])]
+            out[n == 0] = self.uncovered_labels(empty)[
+                np.searchsorted(empty, k[n == 0])]
         return out
+
+    def uncovered_labels(self, slabs):
+        """Label of each slab without crossings: such a slab is one region,
+        located once at a probe point, its middle.  Needs segments."""
+        dom = self.net.domain
+        y_mid = 0.5 if dom.periodic else 0.5 * (dom.bbox[1] + dom.bbox[3])
+        xm = 0.5 * (self.xs[slabs] + self.xs[slabs + 1])
+        return _nearest_boundary_labels(
+            self.net, np.column_stack([xm, np.full_like(xm, y_mid)]))
 
 
 def slab_sweep(net: LabeledNetwork):
@@ -425,8 +450,9 @@ def region_areas(net: LabeledNetwork, allow_infinite=True):
     the crossing order is cyclic in y mod 1 and the slabs tile [0,1).  In the
     plane the strips below the lowest and above the highest crossing belong to
     unbounded regions; they are clipped to the bounding box and their labels
-    flagged infinite.  Slabs without crossings, and gaps whose two labels
-    disagree, go to `residual`.
+    flagged infinite.  A torus slab without crossings is one region, labelled
+    as SlabSweep.labels locates it.  Plane slabs without crossings, and gaps
+    whose two labels disagree, go to `residual`.
     """
     dom = net.domain
     sw = slab_sweep(net)
@@ -447,8 +473,10 @@ def region_areas(net: LabeledNetwork, allow_infinite=True):
     infinite = set()
     # terms (slab, position in slab, label, area) in the per-slab loop order
     if dom.periodic:
+        empty = empty[w[empty] > 1e-15]  # only slabs that carry area
+        fill = sw.uncovered_labels(empty) if len(empty) and len(sw.a) else 0
         terms = [(ks[j], rank[j], lab, w[ks[j]] * gap[j]),
-                 (empty, 0, 0, w[empty])]
+                 (empty, 0, fill, w[empty])]
     else:
         _, y_lo, _, y_hi = dom.bbox
         full = np.nonzero(stop > first)[0]

@@ -173,6 +173,41 @@ def direct_gather_tree(V, kernel, sg, points):
 # ---- reference loops for the deformation pass and the network helpers ----------
 
 
+def segment_arrays_loop(net):
+    """(p0, p1, edge_id, left, right) one edge at a time, the reference for
+    LabeledNetwork.segment_arrays."""
+    p0s, p1s, eids, lefts, rights = [], [], [], [], []
+    for ei, e in enumerate(net.edges):
+        idx = np.asarray(e.chain)
+        a = net.vertices[idx[:-1]]
+        b = net.vertices[idx[1:]]
+        d = net.domain.delta(a, b)
+        p0s.append(a)
+        p1s.append(a + d)
+        eids.append(np.full(len(idx) - 1, ei))
+        lefts.append(np.full(len(idx) - 1, e.left))
+        rights.append(np.full(len(idx) - 1, e.right))
+    if not p0s:
+        z = np.zeros((0, 2))
+        zi = np.zeros(0, dtype=int)
+        return z, z, zi, zi, zi
+    return (np.concatenate(p0s), np.concatenate(p1s),
+            np.concatenate(eids), np.concatenate(lefts), np.concatenate(rights))
+
+
+def outgoing_ends_loop(net):
+    """vertex -> edge-end list one edge at a time, the reference for
+    LabeledNetwork.outgoing_ends."""
+    ends = {}
+    for ei, e in enumerate(net.edges):
+        c = e.chain
+        d0 = net.domain.delta(net.vertices[c[0]], net.vertices[c[1]])
+        d1 = net.domain.delta(net.vertices[c[-1]], net.vertices[c[-2]])
+        ends.setdefault(c[0], []).append((d0, e.left, e.right, ei, True))
+        ends.setdefault(c[-1], []).append((d1, e.right, e.left, ei, False))
+    return ends
+
+
 def vertex_degrees_loop(net):
     """Edge-ends per vertex, one chain at a time."""
     deg = np.zeros(len(net.vertices), dtype=int)

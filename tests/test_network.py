@@ -10,7 +10,8 @@ from grainflow.network import (Edge, LabeledNetwork, MeshScale,
                                weld_junctions)
 from grainflow.scenes import parse_scene, voronoi_scene
 
-from oracles import (ngon_area, ngon_vertices, vertex_degrees_loop,
+from oracles import (ngon_area, ngon_vertices, outgoing_ends_loop,
+                     segment_arrays_loop, vertex_degrees_loop,
                      weld_junctions_recursive)
 
 TWO_BANDS = """domain torus
@@ -42,6 +43,16 @@ def test_polygon_area_exact():
     # only the two 0.5 x 3 strips beside the carrier (x in [-1, 1]) have no
     # crossing to claim them; every gap between crossings is attributed
     assert tab.residual == 2 * 0.5 * 3.0
+
+
+def test_torus_uncovered_slabs_take_their_region_label():
+    # a diamond around the torus corner leaves the slabs of x in (0.25, 0.75)
+    # without crossings; they belong to the outside region
+    v = np.mod([[0.25, 0.0], [0.0, 0.25], [-0.25, 0.0], [0.0, -0.25]], 1.0)
+    net = LabeledNetwork(torus(), 2, v, [Edge((0, 1, 2, 3, 0), 1, 2)])
+    tab = region_areas(net)
+    assert tab.areas == {1: 0.125, 2: 0.875}
+    assert tab.residual <= 1e-12
 
 
 def test_voronoi_areas_tile_torus():
@@ -85,6 +96,48 @@ def test_validate_flags_crossings():
                          [Edge((0, 1), 1, 1), Edge((2, 3), 1, 1)])
     rep = validate_partition(net)
     assert any("crossing" in msg for _, _, msg in rep.violations)
+
+
+def rebuilt(net, vertices=None, edges=None):
+    return LabeledNetwork(net.domain, net.n_labels,
+                          net.vertices if vertices is None else vertices,
+                          list(net.edges) if edges is None else edges, net.scale)
+
+
+def corrupted(kind):
+    """A scene with one kind of defect; see test_validate_violations_pinned."""
+    vor = voronoi_scene(8, 42)
+    e0 = vor.edges[0]
+    if kind == "crossing":  # an interior boundary across a band's line
+        net = parse_scene(TWO_BANDS)
+        n = len(net.vertices)
+        return rebuilt(net, np.vstack([net.vertices, [[0.51, 0.1], [0.52, 0.4]]]),
+                       list(net.edges) + [Edge((n, n + 1), 1, 1)])
+    if kind == "near-duplicate":  # one grain's vertex next to another's
+        v = vor.vertices.copy()
+        a, b = vor.edges[3].chain[2], vor.edges[20].chain[2]
+        v[a] = np.mod(v[b] + [1e-4, 0.0], 1.0)
+        return rebuilt(vor, v)
+    if kind == "junction-labels":  # one edge's sides swapped
+        return rebuilt(vor, edges=[Edge(e0.chain, e0.right, e0.left)]
+                       + list(vor.edges[1:]))
+    if kind == "free-end":  # one grain boundary stops short of its junction
+        return rebuilt(vor, edges=[Edge(e0.chain[:-1], e0.left, e0.right)]
+                       + list(vor.edges[1:]))
+    raise ValueError(kind)
+
+
+@pytest.mark.parametrize("kind, want", [
+    ("crossing", [("edge", 0, "segment crossing with edge 2")]),
+    ("near-duplicate",
+     [("vertex", 57, "closer than weld tolerance to vertex 159")]),
+    ("junction-labels", [("vertex", 0, "inconsistent labels around junction"),
+                         ("vertex", 1, "inconsistent labels around junction")]),
+    ("free-end", [("vertex", 27, "free end on non-interior edge")]),
+])
+def test_validate_violations_pinned(kind, want):
+    # the violation lists the per-edge loops produced, pinned
+    assert validate_partition(corrupted(kind)).violations == want
 
 
 def test_remesh_splitting_preserves_areas_exactly():
@@ -245,3 +298,55 @@ def test_weld_cascade_matches_recursive_weld(gaps):
     ref = weld_junctions_recursive(net)
     assert np.array_equal(out.vertices, ref.vertices)
     assert out.edges == ref.edges
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_segments_match_loops(net):
+    for got, want in zip(net.segment_arrays(), segment_arrays_loop(net)):
+        assert same_bits(got, want)
+    got, want = net.outgoing_ends(), outgoing_ends_loop(net)
+    assert list(got) == list(want)
+    for vi in want:
+        assert len(got[vi]) == len(want[vi])
+        for g, w in zip(got[vi], want[vi]):
+            assert same_bits(g[0], w[0]) and g[1:] == w[1:]
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       n=st.integers(min_value=3, max_value=32),
+       center=st.tuples(st.floats(-0.1, 0.1), st.floats(-0.1, 0.1)))
+def test_segment_arrays_match_edge_loop(seed, n, center):
+    # a torus circle of radius 0.2 around a point this near the corner
+    # crosses both seams
+    ring = parse_scene("domain torus\nlabels 2\ncircle center=(%r,%r) r=0.2 "
+                       "n=64 inside=2 outside=1\n" % center, h_max=0.02)
+    # a zero-length segment, in the plane and on the torus
+    dup = np.array([[0.1, 0.1], [0.3, 0.1], [0.3, 0.1], [0.5, 0.2]])
+    stub = [Edge((0, 1, 2, 3), 1, 1)]
+    for net in (voronoi_scene(n, seed), ring, circle_net(n=n + 3),
+                parse_scene(TWO_BANDS),
+                LabeledNetwork(plane(), 1, dup, stub),
+                LabeledNetwork(torus(), 1, dup, stub),
+                LabeledNetwork(torus(), 1, np.zeros((0, 2)), [])):
+        assert_segments_match_loops(net)
+
+
+def test_network_is_immutable_with_own_caches():
+    net = voronoi_scene(8, 42)
+    p0 = net.segment_arrays()[0]
+    assert net.segment_arrays()[0] is p0  # computed once
+    with pytest.raises(ValueError):
+        net.vertices[0, 0] = 0.5
+    for arr in net.segment_arrays() + net.chain_entries():
+        with pytest.raises(ValueError):
+            arr[0] = arr[1]
+    moved = rebuilt(net, np.mod(net.vertices + 0.01, 1.0))
+    for other in (net.copy(), rebuilt(net), moved):
+        assert other.segment_arrays()[0] is not p0
+        assert_segments_match_loops(other)
+    assert not np.array_equal(moved.segment_arrays()[0], p0)
