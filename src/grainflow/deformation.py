@@ -26,7 +26,6 @@ allowance is weaker than the saving.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .network import (Edge, LabeledNetwork, compact, region_areas,
                       region_loops, shoelace, validate_partition)
@@ -254,10 +253,40 @@ def collapse_small_region(net: LabeledNetwork, label, j):
 
 
 def _golden_min(f, lo, hi):
-    res = optimize.minimize_scalar(
-        lambda t: f(min(max(t, lo), hi)), bracket=(lo, 0.5 * (lo + hi), hi),
-        method="golden", options={"xtol": 1e-12})
-    t = float(min(max(res.x, lo), hi))
+    """Golden-section minimum of f on [lo, hi] from the bracket (lo, mid, hi).
+
+    The steps, constant and stopping rule of SciPy's bracketed golden search,
+    so t and f(t) match it bit for bit.  Where f(mid) is not below both ends
+    there is no bracket; the least of f(lo), f(mid), f(hi) is returned, lo
+    first on ties.
+    """
+    def g(t):
+        return f(min(max(t, lo), hi))
+
+    mid = 0.5 * (lo + hi)
+    fa, fb, fc = g(lo), g(mid), g(hi)
+    if not (fb < fa and fb < fc):
+        t = (lo, mid, hi)[int(np.argmin([fa, fb, fc]))]
+        return float(t), float(f(t))
+    gr = 0.61803399
+    gc = 1.0 - gr
+    x0, x3 = lo, hi
+    if abs(hi - mid) > abs(mid - lo):
+        x1, x2 = mid, mid + gc * (hi - mid)
+    else:
+        x1, x2 = mid - gc * (mid - lo), mid
+    f1, f2 = g(x1), g(x2)
+    for _ in range(5000):  # SciPy's maxiter; xtol is 1e-12
+        if abs(x3 - x0) <= 1e-12 * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0, x1, x2 = x1, x2, gr * x2 + gc * x3
+            f1, f2 = f2, g(x2)
+        else:
+            x3, x2, x1 = x2, x1, gr * x1 + gc * x0
+            f2, f1 = f1, g(x1)
+    x = x1 if f1 < f2 else x2
+    t = float(min(max(x, lo), hi))
     return t, float(f(t))
 
 

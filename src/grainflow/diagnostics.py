@@ -184,8 +184,10 @@ def symmetric_difference_area(net_a, net_b, label):
     dl = la[slab, i] - lb[slab, j]
     dr = ra[slab, i] - rb[slab, j]
     if dom.periodic:
-        # segments move far less than half a period in y across a slab
-        off = np.round(dl)
+        # the frames cross where the height difference passes an integer;
+        # each segment spans at most half a period in y, so it passes at
+        # most one across a slab, the floor of the larger end
+        off = np.floor(np.maximum(dl, dr))
         dl, dr = dl - off, dr - off
     cut = dl * dr < 0.0
     x0, x1 = xs[slab[cut]], xs[slab[cut] + 1]

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .domain import Domain, torus
 
@@ -163,6 +162,71 @@ def _segments_properly_cross(a0, a1, b0, b1, tol=1e-12):
     return tol < t < 1 - tol and tol < s < 1 - tol
 
 
+def _pairs_within(pts, r, periodic):
+    """Index pairs (i, j), i < j, with |p_j - p_i| <= r (minimum image on
+    the unit torus), sorted.
+
+    Points are binned into square cells of side >= r, so a pair lies in one
+    cell or in two neighbouring ones.  Each occupied cell is matched with
+    itself and four of its eight neighbours by searchsorted on the sorted
+    cell keys, so every pair of cells is visited once.
+    """
+    pts = np.asarray(pts, dtype=float)
+    n = len(pts)
+    if n < 2:
+        return np.zeros((0, 2), dtype=np.int64)
+    # the 1e-6 margin keeps pairs at distance r in neighbouring cells through
+    # the roundoff of the cell index; 2^20 cells a side keep keys in int64
+    if periodic:
+        pts = np.mod(pts, 1.0)
+        m = int(min(1.0 / max(r * (1.0 + 1e-6), 2.0**-20), 2.0**20))
+        m = m if m >= 3 else 1  # below 3 cells a side, neighbours repeat
+        c = np.floor(pts * m).astype(np.int64) % m
+    else:
+        lo = pts.min(axis=0)
+        side = max(r * (1.0 + 1e-6),
+                   float(np.max(pts.max(axis=0) - lo)) * 2.0**-20) or 1.0
+        c = np.floor((pts - lo) / side).astype(np.int64) + 1
+        m = int(c[:, 1].max()) + 2  # row width: neighbour keys stay unique
+    key = c[:, 0] * m + c[:, 1]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    edge = np.flatnonzero(key[1:] != key[:-1]) + 1
+    first = np.concatenate(([0], edge))
+    count = np.concatenate((edge, [n])) - first
+    cells = key[first]
+    offsets = np.array([[0, 0], [1, -1], [1, 0], [1, 1], [0, 1]] if m > 1
+                       else [[0, 0]])
+    cx, cy = np.divmod(cells, m)
+    nx = cx + offsets[:, :1]
+    ny = cy + offsets[:, 1:]
+    if periodic:
+        nx, ny = nx % m, ny % m
+    want = (nx * m + ny).ravel()
+    pos = np.minimum(np.searchsorted(cells, want), len(cells) - 1)
+    hit = cells[pos] == want
+    a = (np.arange(len(want)) % len(cells))[hit]
+    b = pos[hit]
+    # every point of cell a against every point of cell b, each pair of
+    # points once inside one cell
+    ca = count[a]
+    row = np.repeat(np.arange(len(a)), ca)
+    s = np.repeat(first[a] - np.cumsum(ca) + ca, ca) + np.arange(len(row))
+    k = count[b][row]
+    t = np.repeat(first[b][row] - np.cumsum(k) + k, k) + np.arange(k.sum())
+    s = np.repeat(s, k)
+    keep = np.repeat(a[row] != b[row], k) | (s < t)
+    i, j = order[s[keep]], order[t[keep]]
+    i, j = np.minimum(i, j), np.maximum(i, j)
+    d = pts[j] - pts[i]
+    if periodic:
+        d -= np.round(d)
+    keep = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= r * r
+    i, j = i[keep], j[keep]
+    order = np.lexsort((j, i))
+    return np.column_stack([i[order], j[order]])
+
+
 def validate_partition(net: LabeledNetwork):
     """Check the partition invariants; violations are data, not faults."""
     v = []
@@ -229,12 +293,8 @@ def validate_partition(net: LabeledNetwork):
     used[every] = True
     pts = net.vertices[used]
     if len(pts) > 1:
-        if net.domain.periodic:
-            tree = cKDTree(np.mod(pts, 1.0), boxsize=1.0)
-        else:
-            tree = cKDTree(pts)
-        pairs = tree.query_pairs(net.scale.weld)
-        if pairs:
+        pairs = _pairs_within(pts, net.scale.weld, net.domain.periodic)
+        if len(pairs):
             # graph-near vertices may sit close legitimately (short bridges,
             # freshly split junctions, shrinking grains); the tolerance only
             # flags near-duplicates whose connecting path is long, i.e. a
@@ -268,7 +328,7 @@ def validate_partition(net: LabeledNetwork):
                 return False
 
             ids = np.nonzero(used)[0]
-            for i, j in pairs:
+            for i, j in pairs.tolist():
                 a, b = int(ids[i]), int(ids[j])
                 if near_in_graph(a, b):
                     continue
@@ -282,9 +342,8 @@ def validate_partition(net: LabeledNetwork):
         mid = 0.5 * (p0 + p1)
         half = 0.5 * np.linalg.norm(p1 - p0, axis=1)
         r = float(np.max(half)) if len(half) else 0.0
-        tree = cKDTree(np.mod(mid, 1.0) if net.domain.periodic else mid,
-                       boxsize=1.0 if net.domain.periodic else None)
-        for i, j in tree.query_pairs(2.0 * r + 1e-12):
+        for i, j in _pairs_within(mid, 2.0 * r + 1e-12,
+                                  net.domain.periodic).tolist():
             # translate segment j to its minimum image next to segment i
             off = net.domain.delta(mid[j], mid[i])
             shift = (mid[i] - off) - mid[j]
@@ -359,9 +418,14 @@ class SlabSweep:
             if dom.periodic:
                 gap = np.mod(gap, 1.0)
             gap = np.where(valid & (gap >= 0.0), gap, np.inf)
-            # crossings that start at one vertex on the slab's left edge tie
-            # there up to roundoff; inside the slab the steepest lies highest
-            slope = (self.b[s, 1] - self.a[s, 1]) / (self.b[s, 0] - self.a[s, 0])
+            # crossings that meet at one vertex on a slab edge tie there up
+            # to roundoff; inside the slab the steepest lies highest next to
+            # the left edge and lowest next to the right edge
+            xh = x[hit]
+            side = np.where(xh - self.xs[k[hit]] <= self.xs[k[hit] + 1] - xh,
+                            1.0, -1.0)
+            slope = side[:, None] * (self.b[s, 1] - self.a[s, 1]) / (
+                self.b[s, 0] - self.a[s, 0])
             near = gap <= gap.min(axis=1, keepdims=True) + _TIE
             rows = np.arange(len(hit))
             pick = np.argmax(np.where(near, slope, -np.inf), axis=1)

@@ -19,7 +19,6 @@ given their parameters.
 import re
 
 import numpy as np
-from scipy.spatial import Voronoi, cKDTree
 
 from .domain import plane, torus
 from .network import (Edge, LabeledNetwork, MeshScale, compact, remesh,
@@ -269,6 +268,8 @@ def emit_scene(net):
 
 def voronoi_scene(n_seeds, seed, h_max=0.05):
     """Periodic Voronoi grain scene on the torus (one label per seed)."""
+    from scipy.spatial import Voronoi, cKDTree  # only this generator needs qhull
+
     rng = np.random.default_rng(seed)
     seeds = rng.random((n_seeds, 2))
     shifts = np.array([[i, jj] for i in (-1, 0, 1) for jj in (-1, 0, 1)],
@@ -376,8 +377,11 @@ def honeycomb_scene(cols=3, rows=2, h_max=0.05):
             centers.append(((off + 2 * a * i) % 1.0,
                             (r * H + (H + ell / 2.0) / 2.0) % 1.0))
     centers = np.asarray(centers)
-    tree = cKDTree(centers, boxsize=1.0)
     dom = torus()
+
+    def nearest_center(p):
+        d = dom.delta(p, centers)
+        return int(np.argmin(np.sum(d * d, axis=1)))
 
     segs = []
     for r in range(rows):
@@ -395,8 +399,8 @@ def honeycomb_scene(cols=3, rows=2, h_max=0.05):
         d = dom.delta(p0, verts[i1])
         mid = p0 + 0.5 * d
         n_left = np.array([-d[1], d[0]]) / np.linalg.norm(d)
-        cl = int(tree.query(np.mod(mid + probe_len * n_left, 1.0))[1])
-        cr = int(tree.query(np.mod(mid - probe_len * n_left, 1.0))[1])
+        cl = nearest_center(np.mod(mid + probe_len * n_left, 1.0))
+        cr = nearest_center(np.mod(mid - probe_len * n_left, 1.0))
         faces.append((cl, cr))
 
     color = _three_color(len(centers), faces)

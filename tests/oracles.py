@@ -7,7 +7,7 @@ kept as its reference.
 """
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 from scipy.spatial import cKDTree
 
 from grainflow.network import Edge, LabeledNetwork, compact, slab_sweep
@@ -36,6 +36,39 @@ def kernel_mass_oracle(eps):
     inner, _ = integrate.quad(radial, 0.0, 0.5, epsabs=1e-13, epsrel=1e-12)
     outer, _ = integrate.quad(radial, 0.5, 1.0, epsabs=1e-13, epsrel=1e-12)
     return inner + outer
+
+
+def kernel_normalize_quad(eps):
+    """c(eps) with the transition annulus by adaptive quadrature, the
+    reference for the fixed Gauss-Legendre rule in kernels.kernel_normalize."""
+
+    def radial(r):
+        u = np.clip(2.0 * r - 1.0, 0.0, 1.0)
+        p = 1.0 - u**3 * (10.0 - 15.0 * u + 6.0 * u * u)
+        return p * (r / eps**2) * np.exp(-(r * r) / (2.0 * eps * eps))
+
+    inner = -np.expm1(-1.0 / (8.0 * eps * eps))
+    tail, _ = integrate.quad(radial, 0.5, 1.0, epsabs=1e-14, epsrel=1e-12,
+                             limit=200)
+    return 1.0 / (inner + tail)
+
+
+def golden_min_scipy(f, lo, hi):
+    """SciPy's bracketed golden search as the junction split called it, the
+    reference for deformation._golden_min; raises ValueError without a
+    bracket."""
+    res = optimize.minimize_scalar(
+        lambda t: f(min(max(t, lo), hi)), bracket=(lo, 0.5 * (lo + hi), hi),
+        method="golden", options={"xtol": 1e-12})
+    t = float(min(max(res.x, lo), hi))
+    return t, float(f(t))
+
+
+def pairs_within_tree(pts, r, periodic):
+    """KD-tree pair query, the reference for network._pairs_within."""
+    if periodic:
+        return cKDTree(np.mod(pts, 1.0), boxsize=1.0).query_pairs(r)
+    return cKDTree(pts).query_pairs(r)
 
 
 def ngon_vertices(n, r=1.0):
@@ -390,7 +423,9 @@ def convex_intersection_area(p, q):
         inp, out = out, []
         for s, e in zip(inp, inp[1:] + inp[:1]):
             s_in, e_in = cross(b - a, s - a) >= 0.0, cross(b - a, e - a) >= 0.0
-            if s_in != e_in:
+            # an edge parallel to the clip line can straddle it only by
+            # roundoff; it adds no intersection point
+            if s_in != e_in and cross(b - a, e - s) != 0.0:
                 t = cross(b - a, a - s) / cross(b - a, e - s)
                 out.append(s + t * (e - s))
             if e_in:

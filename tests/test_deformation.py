@@ -1,19 +1,24 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from grainflow import deformation
 from grainflow.domain import plane, torus
 from grainflow.network import Edge, LabeledNetwork, region_areas, validate_partition
-from grainflow.deformation import (Move, _kink_candidates,
+from grainflow.deformation import (Move, _golden_min, _kink_candidates,
                                    _label_boundary_lengths, _supports_disjoint,
                                    collapse_small_region, length_in_ball,
                                    lipschitz_step, remove_interior_boundary,
                                    split_high_order_junction, verify_admissible)
+from grainflow.engine import run, schedule_params
 from grainflow.scenes import parse_scene, voronoi_scene
 from grainflow.weights import const_weight
 
-from oracles import (CROSS_DIAGONALS, STEINER_SQUARE, kink_candidates_loop,
+from oracles import (CROSS_DIAGONALS, STEINER_SQUARE, golden_min_scipy,
+                     kink_candidates_loop,
                      label_boundary_lengths_loop, ngon_vertices)
 
 CROSS = """labels 4
@@ -236,3 +241,91 @@ def test_lipschitz_step_relaxes_spike():
     assert out.length_decrease_omega == pytest.approx(
         length(net) - length(out.network), abs=1e-9)
     assert out.length_decrease_omega == pytest.approx(0.06246, abs=1e-5)
+
+
+# ---- the golden-section search against SciPy's --------------------------------
+
+
+def golden_reference(f, lo, hi):
+    """SciPy's result; without a bracket, the least of the three points."""
+    try:
+        return golden_min_scipy(f, lo, hi)
+    except ValueError:
+        t = min((lo, 0.5 * (lo + hi), hi), key=f)
+        return t, float(f(t))
+
+
+def checked_golden(calls):
+    """_golden_min that records whether each call matched the reference."""
+    def spy(f, lo, hi):
+        got = _golden_min(f, lo, hi)
+        calls.append(got == golden_reference(f, lo, hi))
+        return got
+    return spy
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=st.floats(-1.0, 1.0), width=st.floats(1e-9, 2.0),
+       at=st.floats(0.0, 1.0), curve=st.floats(0.1, 10.0),
+       kind=st.sampled_from(["quadratic", "abs", "wavy", "flat"]))
+def test_golden_min_matches_scipy(lo, width, at, curve, kind):
+    hi = lo + width
+    c = lo + at * width
+    f = {"quadratic": lambda t: curve * (t - c) ** 2,
+         "abs": lambda t: abs(t - c) + 0.5,
+         "wavy": lambda t: (t - c) ** 2 + 0.1 * width**2 * np.sin(curve * t / width),
+         "flat": lambda t: 1.0}[kind]
+    assert _golden_min(f, lo, hi) == golden_reference(f, lo, hi)
+
+
+def star_net(angles, lengths, center, periodic):
+    """One junction at `center` with straight arms; labels 1..d around it."""
+    ang = np.radians(angles)
+    arms = np.asarray(lengths)[:, None] * np.column_stack(
+        [np.cos(ang), np.sin(ang)])
+    d = len(angles)
+    dom = torus() if periodic else plane()
+    v = dom.wrap(np.vstack([center, np.asarray(center) + arms]))
+    edges = [Edge((0, k + 1), 1 + k, 1 + (k - 1) % d) for k in range(d)]
+    return LabeledNetwork(dom, d, v, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([4, 5]), data=st.data(),
+       j=st.sampled_from([1, 2, 4, 16]), periodic=st.booleans())
+def test_junction_split_golden_matches_scipy(d, data, j, periodic):
+    gaps = data.draw(st.lists(st.floats(5.0, 100.0), min_size=d, max_size=d))
+    angles = np.cumsum(gaps) * 360.0 / sum(gaps) + data.draw(
+        st.floats(0.0, 360.0))
+    lengths = data.draw(st.lists(st.floats(0.002, 0.05), min_size=d,
+                                 max_size=d))
+    center = data.draw(st.sampled_from([(0.5, 0.5), (0.01, 0.99), (0.0, 0.0)]))
+    net = star_net(angles, lengths, center, periodic)
+    calls = []
+    with mock.patch.object(deformation, "_golden_min", checked_golden(calls)):
+        split_high_order_junction(net, 0, j)
+    assert calls and all(calls)
+
+
+def test_grain_scene_splits_golden_matches_scipy():
+    net = voronoi_scene(32, 42, h_max=0.0125)
+    sched = schedule_params("practical", 2, eps=0.05, dt=1e-4, steps=20,
+                            h_max=0.0125)
+    calls = []
+    with mock.patch.object(deformation, "_golden_min", checked_golden(calls)):
+        run(net, sched, frame_every=100)
+    assert len(calls) >= 2 and all(calls)
+
+
+def test_split_with_a_pairing_that_cannot_shorten():
+    # the 10 and 180 degree arms have no shorter bridge: f(mid) > f(0), so
+    # there is no golden bracket, on which SciPy's search raises ValueError
+    net = star_net([0.0, 10.0, 180.0, 190.0], [0.01] * 4, (0.5, 0.5), True)
+    out = split_high_order_junction(net, 0, 2)
+    assert [m.kind for m in out.accepted_moves] == ["junction-split"]
+    step = lipschitz_step(net, 2)
+    assert step.network.total_length() <= net.total_length()
+    # no bracket: the least end point, lo on ties
+    assert _golden_min(lambda t: t * t + 1.0, 0.0, 1.0) == (0.0, 1.0)
+    assert _golden_min(lambda t: 2.0, 0.0, 1.0) == (0.0, 2.0)
+    assert _golden_min(lambda t: -t, 0.0, 1.0) == (1.0, -1.0)

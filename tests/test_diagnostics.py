@@ -155,6 +155,14 @@ POLYGON = st.tuples(st.integers(4, 9), st.floats(0.05, 0.3),
 # an axis-aligned square against a diamond: 0.75 in closed form
 @example(periodic=False, p=(4, 1.0, 0.0), q=(4, 0.75 * np.sqrt(2.0), np.pi / 4),
          center=(0.5, 0.5), offset=(0.0, 0.0))
+# a diamond against its copy moved 1e-15 right: the sliver slab left of the
+# moved tip has two crossings tied in height up to roundoff
+@example(periodic=False, p=(4, 0.25, 0.0), q=(4, 0.25, 0.0),
+         center=(0.0, 0.0), offset=(1e-15, 0.0))
+# across one wide slab a boundary of each diamond passes the seam y = 0 and
+# the two cross there: their height difference changes by more than 1/2
+@example(periodic=True, p=(4, 0.25, 4.875), q=(4, 0.25, 1.5),
+         center=(0.0, 0.0), offset=(0.0, 0.03125))
 # boundaries that meet on the seam y = 0 of the torus
 @example(periodic=True, p=(8, 0.3, 0.1), q=(8, 0.3, 0.2),
          center=(0.5, -0.025), offset=(0.0, 0.05))

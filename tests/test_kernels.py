@@ -6,7 +6,7 @@ from grainflow.kernels import (Kernel, PSI_GRAD_BOUND, PSI_HESS_BOUND,
                                kernel_normalize, psi, psi_prime, psi_second)
 
 from oracles import (C_EPS_HALF, C_EPS_TENTH, kernel_mass_oracle,
-                     kernel_value_grad_full)
+                     kernel_normalize_quad, kernel_value_grad_full)
 
 
 def test_psi_profile_shape():
@@ -36,6 +36,17 @@ def test_normalization_against_oracle():
     for eps in (0.5, 0.1, 0.05, 0.02):
         c = kernel_normalize(eps)
         assert abs(c * kernel_mass_oracle(eps) - 1.0) < 1e-8
+
+
+def test_normalization_matches_adaptive_quadrature():
+    # the fixed Gauss-Legendre rule against the adaptive quadrature it
+    # replaced: an ulp apart at most, and equal at the benchmark's eps
+    for eps in np.linspace(0.005, 0.995, 199):
+        c, ref = kernel_normalize(eps), kernel_normalize_quad(eps)
+        assert abs(c - ref) <= 1e-15 * ref, eps
+    for eps in (0.05, 0.2):
+        assert kernel_normalize(eps) == kernel_normalize_quad(eps)
+    assert kernel_normalize(0.05) == 1.0
 
 
 def test_normalization_frozen_values():

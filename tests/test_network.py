@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from grainflow.domain import plane, torus
 from grainflow.network import (Edge, LabeledNetwork, MeshScale,
-                               _nearest_boundary_labels, label_at_points,
+                               _nearest_boundary_labels, _pairs_within, label_at_points,
                                region_areas, remesh, validate_partition,
                                weld_junctions)
 from grainflow.scenes import parse_scene, voronoi_scene
 
 from oracles import (ngon_area, ngon_vertices, outgoing_ends_loop,
-                     segment_arrays_loop, vertex_degrees_loop,
+                     pairs_within_tree, segment_arrays_loop, vertex_degrees_loop,
                      weld_junctions_recursive)
 
 TWO_BANDS = """domain torus
@@ -140,6 +140,50 @@ def test_validate_violations_pinned(kind, want):
     assert validate_partition(corrupted(kind)).violations == want
 
 
+# torus coordinates on and across the seam (mod 1 takes -1e-12 next to 1.0)
+_seam = st.sampled_from([0.0, 0.5, 0.25, 1e-12, -1e-12, 1.0 - 2.0**-53,
+                         0.5 + 1e-12])
+_torus_points = st.lists(st.tuples(
+    st.one_of(st.floats(0.0, 1.0, exclude_max=True), _seam),
+    st.one_of(st.floats(0.0, 1.0, exclude_max=True), _seam)),
+    min_size=1, max_size=60)
+_plane_points = st.lists(st.tuples(
+    st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, 1e-9, 0.5])),
+    st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, 1e-9, 0.5]))),
+    min_size=1, max_size=60)
+_radii = st.one_of(st.floats(1e-9, 0.6),
+                   st.sampled_from([1e-9, 0.25, 0.5, 0.6]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cloud=st.one_of(st.tuples(_torus_points, st.just(True)),
+                       st.tuples(_plane_points, st.just(False))),
+       r=_radii)
+@example(cloud=([(0.3, 0.3)], True), r=0.5)
+@example(cloud=([(0.3, 0.3)] * 4 + [(0.7, 0.3)], True), r=0.4)
+@example(cloud=([(0.0, 0.5), (0.5, 0.5), (-1e-12, 0.5)], True), r=0.5)
+@example(cloud=([(0.0, 0.0), (0.25, 0.0), (0.5, 0.0)], False), r=0.25)
+@example(cloud=([(1.0, 1.0)] * 3, False), r=1e-9)
+def test_pairs_within_matches_kdtree(cloud, r):
+    pts, periodic = np.array(cloud[0], dtype=float), cloud[1]
+    got = _pairs_within(pts, r, periodic)
+    assert got.tolist() == [list(p) for p in
+                            sorted(pairs_within_tree(pts, r, periodic))]
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+def test_pairs_within_matches_kdtree_on_large_clouds(periodic):
+    # many occupied cells, with runs of duplicates and near-duplicates
+    rng = np.random.default_rng(5)
+    pts = rng.random((3000, 2)) * (1.0 if periodic else 3.0)
+    pts[1000:1100] = pts[:100]
+    pts[1100:1200] = pts[:100] + 1e-10
+    for r in (1e-9, 1e-3, 0.02, 0.1):
+        got = _pairs_within(pts, r, periodic)
+        assert got.tolist() == [list(p) for p in
+                                sorted(pairs_within_tree(pts, r, periodic))]
+
+
 def test_remesh_splitting_preserves_areas_exactly():
     net = circle_net(n=32)
     before = region_areas(net).areas
@@ -236,6 +280,24 @@ def test_sweep_labels_on_vertex_slab_edges(seed, n, pts_seed):
         pts = np.column_stack([x, rng.uniform(lo, hi, size=400)])
         assert np.array_equal(label_at_points(net, pts),
                               _nearest_boundary_labels(net, pts))
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_sweep_labels_next_to_a_vertex_on_either_slab_edge(periodic):
+    # within 1e-12 of a diamond's tips the two crossings meeting there tie in
+    # height: the steeper lies highest right of the left tip, lowest left of
+    # the right tip
+    c = np.array([0.5, 0.5]) if periodic else np.zeros(2)
+    th = 0.5 * np.pi * np.arange(4)
+    verts = c + 0.25 * np.column_stack([np.cos(th), np.sin(th)]) + [1e-15, 0.0]
+    net = LabeledNetwork(torus() if periodic else plane((-1, -1, 2, 2)), 2,
+                         verts, [Edge((0, 1, 2, 3, 0), 1, 2)])
+    d = np.array([5e-16, 1e-14, 1e-13, 1e-12])
+    x = np.concatenate([verts[0, 0] - d, verts[2, 0] + d])
+    pts = np.column_stack([np.tile(x, 3), np.repeat(c[1] + np.array(
+        [-0.4, 0.0, 0.4]), len(x))])
+    assert np.array_equal(label_at_points(net, pts),
+                          _nearest_boundary_labels(net, pts))
 
 
 @settings(max_examples=10, deadline=None)
