@@ -25,7 +25,8 @@ def junction_angle_error(net):
     for vi, lst in ends.items():
         if deg[vi] != 3:
             continue
-        angles = sorted(np.arctan2(d[1], d[0]) for d, _, _, _, _ in lst)
+        # the ends come counterclockwise
+        angles = [np.arctan2(d[1], d[0]) for d, _, _, _, _ in lst]
         gaps = np.degrees(np.diff(angles + [angles[0] + 2 * np.pi]))
         worst = max(worst, float(np.max(np.abs(gaps - 120.0))))
     return worst

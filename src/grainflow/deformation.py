@@ -55,11 +55,6 @@ class DeformationOutcome:
     volume_changes: dict  # label -> signed area change
     accepted_moves: list = field(default_factory=list)
 
-    @property
-    def delta_j_estimate(self):
-        # paper sign convention: the estimator is a non-positive decrease
-        return -self.length_decrease_omega
-
 
 def identity_outcome(net):
     return DeformationOutcome(net, 0.0, {}, [Move("identity")])
@@ -129,6 +124,15 @@ def verify_admissible(net_before, net_after, move: Move, j, omega=None):
     return Admissibility(True)
 
 
+def _length_of(net, edge_ids):
+    """Total length of the given edges: a running sum over their segments,
+    edge by edge in the given order."""
+    _, first, last = net.chain_entries()
+    seg = np.concatenate([np.arange(first[e] - e, last[e] - e)
+                          for e in edge_ids])
+    return float(np.cumsum(net.segment_lengths()[seg])[-1])
+
+
 # ---- interior boundary removal -------------------------------------------------
 
 
@@ -168,12 +172,7 @@ def remove_interior_boundary(net: LabeledNetwork, edge_index):
     center = net.domain.wrap(pts[0] + 0.5 * (rel.min(axis=0) + rel.max(axis=0)))
     radius = float(np.max(np.linalg.norm(
         net.domain.delta(center, pts), axis=1))) + 1e-9
-    removed_length = 0.0
-    for fi in removed:
-        c = net.edges[fi].chain
-        for a, b in zip(c[:-1], c[1:]):
-            removed_length += float(np.linalg.norm(
-                net.domain.delta(net.vertices[a], net.vertices[b])))
+    removed_length = _length_of(net, removed)
 
     edges = [f for fi, f in enumerate(net.edges) if fi not in removed]
     out = compact(LabeledNetwork(net.domain, net.n_labels,
@@ -225,12 +224,7 @@ def collapse_small_region(net: LabeledNetwork, label, j):
     R = 1.0 / (2.0 * j * j)
     if diam > R:
         return identity_outcome(net)
-    ell = 0.0
-    for ei in bedges:
-        c = net.edges[ei].chain
-        for a, b in zip(c[:-1], c[1:]):
-            ell += float(np.linalg.norm(net.domain.delta(
-                net.vertices[a], net.vertices[b])))
+    ell = _length_of(net, bedges)
     mass_ball = length_in_ball(net, center, R)
     if ell > C2_SMALLNESS * R or mass_ball > ell + 1e-9:
         return identity_outcome(net)  # smallness relation fails
@@ -298,15 +292,11 @@ def split_high_order_junction(net: LabeledNetwork, junction, j):
     search on local length.  If no adjacent pairing strictly decreases length
     the identity outcome is returned.
     """
-    ends = net.outgoing_ends()[junction]
+    ends = net.outgoing_ends()[junction]  # counterclockwise
     d = len(ends)
     if d < 4:
         raise ValueError("junction degree %d < 4" % d)
     dirs = np.array([e[0] for e in ends], dtype=float)
-    angles = np.arctan2(dirs[:, 1], dirs[:, 0])
-    order = np.argsort(angles)
-    ends = [ends[o] for o in order]
-    dirs = dirs[order]
     slen = np.linalg.norm(dirs, axis=1)
     units = dirs / slen[:, None]
     v = net.vertices[junction]
@@ -494,8 +484,8 @@ def _label_boundary_lengths(net):
     One segment_arrays pass: a segment counts for its left label, and for its
     right label when that differs, so a same-label segment counts once.
     """
-    p0, p1, _, left, right = net.segment_arrays()
-    seg = np.linalg.norm(p1 - p0, axis=1)
+    _, _, _, left, right = net.segment_arrays()
+    seg = net.segment_lengths()
     n = net.n_labels + 1
     other = left != right
     total = (np.bincount(left, seg, minlength=n)

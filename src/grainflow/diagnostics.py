@@ -132,7 +132,7 @@ class DensityTable:
 def density_ratio_scan(net, radii, points=None, s=1.0, tol=1e-9):
     radii = np.asarray(radii, dtype=float)
     if points is None:
-        points = net.vertices[np.unique(net.chain_entries()[0])]
+        points = net.vertices[net.used_vertices()]
     points = np.atleast_2d(np.asarray(points, dtype=float))
     ratios = np.empty((len(points), len(radii)))
     for i, x in enumerate(points):

@@ -125,14 +125,10 @@ class FlowState:
             self.mass0 = self.mass
 
 
-def _used_vertices(net):
-    return np.unique(net.chain_entries()[0])
-
-
 def curvature_step(net, kernel, omega, dt):
     """Move every vertex by dt * h_eps; returns (net', report fragment)."""
     V = build_varifold_view(net, omega)
-    vids = _used_vertices(net)
+    vids = net.used_vertices()
     h, energy = curvature_and_energy(V, kernel, omega, net.vertices[vids])
     hmax = float(np.max(np.linalg.norm(h, axis=1))) if len(h) else 0.0
     if dt * hmax > net.scale.h_min / 2.0:
@@ -248,7 +244,7 @@ def run(net: LabeledNetwork, sched: Schedule, kernel=None, omega=None,
             trace.energies.append(frag["energy"])
         else:
             V = build_varifold_view(state.net, omega)
-            vids = _used_vertices(state.net)
+            vids = state.net.used_vertices()
             h, energy = curvature_and_energy(
                 V, kernel, omega, state.net.vertices[vids])
             trace.vertex_h.append((vids, h))

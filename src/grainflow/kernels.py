@@ -86,10 +86,6 @@ class Kernel:
         return cls(float(eps), kernel_normalize(eps))
 
     @property
-    def support_radius(self):
-        return 1.0
-
-    @property
     def trunc_radius(self):
         # beyond 6 eps the Gaussian factor is < e^-18; the hard cutoff is at 1
         return min(1.0, 6.0 * self.eps)

@@ -77,6 +77,12 @@ class LabeledNetwork:
         return _read_only(every, last - n + 1, last)
 
     @cached_property
+    def _labels(self):
+        """(E, 2) array of each edge's (left, right)."""
+        return _read_only(np.array([(e.left, e.right) for e in self.edges],
+                                   dtype=int).reshape(-1, 2))[0]
+
+    @cached_property
     def _segments(self):
         """(p0, p1, edge_id, left, right, d) in one pass over the chains, where
         d = delta(p0, next vertex) and p1 = p0 + d."""
@@ -84,11 +90,42 @@ class LabeledNetwork:
         p0 = self.vertices[np.delete(every, last)]
         d = self.domain.delta(p0, self.vertices[np.delete(every, first)])
         n = last - first  # segments per edge
-        labels = np.array([(e.left, e.right) for e in self.edges],
-                          dtype=int).reshape(-1, 2)
         return _read_only(p0, p0 + d, np.repeat(np.arange(len(n)), n),
-                          np.repeat(labels[:, 0], n),
-                          np.repeat(labels[:, 1], n), d)
+                          np.repeat(self._labels[:, 0], n),
+                          np.repeat(self._labels[:, 1], n), d)
+
+    @cached_property
+    def _lengths(self):
+        # the batched matmul gives np.linalg.norm's bits on each displacement,
+        # and bincount adds each chain's segments in order, as a running sum
+        d = self._segments[5]
+        seg = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+        edge = np.bincount(self._segments[2], seg, minlength=len(self.edges))
+        return _read_only(seg, edge.astype(float, copy=False))
+
+    @cached_property
+    def _ring(self):
+        """Edge-ends around their vertices.  End 2e leaves edge e's first
+        vertex along the chain, end 2e + 1 its last vertex against it.
+        Returns (order, vertex, direction, cw): the ends sorted by vertex and
+        counterclockwise around each (ascending atan2, ties in end order),
+        each end's vertex and outgoing direction, and for each end the next
+        end clockwise around its vertex."""
+        every, first, last = self._chains
+        v = self.vertices
+        vertex = np.column_stack([every[first], every[last]]).ravel()
+        d = np.stack([self.domain.delta(v[every[first]], v[every[first + 1]]),
+                      self.domain.delta(v[every[last]], v[every[last - 1]])],
+                     axis=1).reshape(-1, 2)
+        order = np.lexsort((np.arctan2(d[:, 1], d[:, 0]), vertex))
+        # in sorted order the clockwise neighbour is the previous end, or
+        # the ring's last for its first
+        start = np.flatnonzero(np.diff(vertex[order], prepend=-1))
+        prev = np.arange(len(order)) - 1
+        prev[start] = np.r_[start[1:], len(order)] - 1
+        cw = np.empty_like(order)
+        cw[order] = order[prev]
+        return _read_only(order, vertex, d, cw)
 
     def segment_arrays(self):
         """(p0, p1, edge_id, left, right) per segment, chains in edge order,
@@ -96,8 +133,12 @@ class LabeledNetwork:
         return self._segments[:5]
 
     def segment_lengths(self):
-        p0, p1, _, _, _ = self.segment_arrays()
-        return np.linalg.norm(p1 - p0, axis=1)
+        """|delta| of each segment, in segment_arrays order."""
+        return self._lengths[0]
+
+    def edge_lengths(self):
+        """Length of each edge's chain, summed segment by segment."""
+        return self._lengths[1]
 
     def total_length(self):
         return float(np.sum(self.segment_lengths()))
@@ -107,18 +148,23 @@ class LabeledNetwork:
     def outgoing_ends(self):
         """Map vertex -> list of (direction, left_label, right_label, edge_id, forward).
 
-        One entry per edge-end.  Labels are as seen walking outward from the
-        vertex; forward is True for the chain-start end.
+        One entry per edge-end, keys ascending, each list counterclockwise
+        (ascending atan2 of the direction; ties keep edge order, chain start
+        first).  Labels are as seen walking outward from the vertex; forward
+        is True for the chain-start end.
         """
-        every, first, last = self._chains
-        v = self.vertices
-        d0 = self.domain.delta(v[every[first]], v[every[first + 1]])
-        d1 = self.domain.delta(v[every[last]], v[every[last - 1]])
+        order, vertex, d, _ = self._ring
+        lab = self._labels.ravel().tolist()
         ends = {}
-        for ei, e in enumerate(self.edges):
-            ends.setdefault(e.chain[0], []).append((d0[ei], e.left, e.right, ei, True))
-            ends.setdefault(e.chain[-1], []).append((d1[ei], e.right, e.left, ei, False))
+        for k, vi in zip(order.tolist(), vertex[order].tolist()):
+            ends.setdefault(vi, []).append(
+                (d[k], lab[k], lab[k ^ 1], k >> 1, not k & 1))
         return ends
+
+    def used_vertices(self):
+        """Sorted indices of the vertices some chain uses."""
+        return np.flatnonzero(np.bincount(self._chains[0],
+                                          minlength=len(self.vertices)))
 
     def chain_entries(self):
         """Every chain's vertex indices concatenated in edge order, and the
@@ -150,16 +196,17 @@ class ValidationReport:
 
 
 def _segments_properly_cross(a0, a1, b0, b1, tol=1e-12):
-    """True if open segments cross at an interior point of both."""
+    """True where open segments a0a1 and b0b1 (rows) cross at an interior
+    point of both."""
     d1 = a1 - a0
     d2 = b1 - b0
-    den = d1[0] * d2[1] - d1[1] * d2[0]
-    if abs(den) < tol:
-        return False
+    den = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
     r = b0 - a0
-    t = (r[0] * d2[1] - r[1] * d2[0]) / den
-    s = (r[0] * d1[1] - r[1] * d1[0]) / den
-    return tol < t < 1 - tol and tol < s < 1 - tol
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (r[:, 0] * d2[:, 1] - r[:, 1] * d2[:, 0]) / den
+        s = (r[:, 0] * d1[:, 1] - r[:, 1] * d1[:, 0]) / den
+    return ((np.abs(den) >= tol) & (tol < t) & (t < 1 - tol)
+            & (tol < s) & (s < 1 - tol))
 
 
 def _pairs_within(pts, r, periodic):
@@ -254,46 +301,31 @@ def validate_partition(net: LabeledNetwork):
                 and np.all(net.vertices[:, 1] >= y0) and np.all(net.vertices[:, 1] <= y1)):
             v.append(("vertices", None, "outside bounding box"))
 
-    deg = net.vertex_degrees()
-    ends = net.outgoing_ends()
-
     # free ends only on interior boundaries, or on the plane bounding box
     # (partitions of the whole plane are truncated there)
-    def on_bbox(p):
-        if net.domain.periodic:
-            return False
-        x0, y0, x1, y1 = net.domain.bbox
-        tol = 1e-9
-        return (abs(p[0] - x0) < tol or abs(p[0] - x1) < tol
-                or abs(p[1] - y0) < tol or abs(p[1] - y1) < tol)
+    _, vertex, _, cw = net._ring
+    lab = net._labels.ravel()
+    free = ((net.vertex_degrees()[vertex] == 1)
+            & np.repeat(lab[0::2] != lab[1::2], 2))
+    if not net.domain.periodic:  # (x0, y0, x1, y1) against (x, y, x, y)
+        free &= ~np.any(np.abs(net.vertices[vertex][:, [0, 1, 0, 1]]
+                               - net.domain.bbox) < 1e-9, axis=1)
+    v.extend(("vertex", vi, "free end on non-interior edge")
+             for vi in vertex[free].tolist())
 
-    for ei, e in enumerate(net.edges):
-        for vi in (e.chain[0], e.chain[-1]):
-            if deg[vi] == 1 and e.left != e.right and not on_bbox(net.vertices[vi]):
-                v.append(("vertex", int(vi), "free end on non-interior edge"))
-
-    # cyclic label consistency at junctions
-    for vi, lst in ends.items():
-        if len(lst) < 3:
-            continue
-        angles = [np.arctan2(d[1], d[0]) for d, _, _, _, _ in lst]
-        order = np.argsort(angles)
-        k = len(lst)
-        for a in range(k):
-            cur = lst[order[a]]
-            nxt = lst[order[(a + 1) % k]]
-            # sector ccw of cur = left label of cur = right label of nxt
-            if cur[1] != nxt[2]:
-                v.append(("vertex", int(vi), "inconsistent labels around junction"))
-                break
+    # cyclic label consistency at junctions: the sector counterclockwise of
+    # each end is its left label and the right label of the next end
+    k = np.arange(len(vertex))
+    bad = ((lab[cw] != lab[k ^ 1])
+           & (np.bincount(vertex, minlength=nv)[vertex] >= 3))
+    v.extend(("vertex", vi, "inconsistent labels around junction")
+             for vi in np.unique(vertex[bad]).tolist())
 
     # minimum vertex separation (used vertices only)
-    every, first, last = net.chain_entries()
-    used = np.zeros(nv, dtype=bool)
-    used[every] = True
-    pts = net.vertices[used]
-    if len(pts) > 1:
-        pairs = _pairs_within(pts, net.scale.weld, net.domain.periodic)
+    ids = net.used_vertices()
+    if len(ids) > 1:
+        pairs = _pairs_within(net.vertices[ids], net.scale.weld,
+                              net.domain.periodic)
         if len(pairs):
             # graph-near vertices may sit close legitimately (short bridges,
             # freshly split junctions, shrinking grains); the tolerance only
@@ -301,12 +333,11 @@ def validate_partition(net: LabeledNetwork):
             # genuine near self-touch rather than a single small feature
             import heapq
             cap_len = 4.0 * net.scale.h_min
-            # the batched matmul gives np.linalg.norm's bits on each pair
-            d = net._segments[5]
-            length = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+            every, first, last = net.chain_entries()
             nbr = {}
             for a, b, w in zip(np.delete(every, last).tolist(),
-                               np.delete(every, first).tolist(), length.tolist()):
+                               np.delete(every, first).tolist(),
+                               net.segment_lengths().tolist()):
                 nbr.setdefault(a, []).append((b, w))
                 nbr.setdefault(b, []).append((a, w))
 
@@ -327,31 +358,24 @@ def validate_partition(net: LabeledNetwork):
                             heapq.heappush(heap, (nd, y))
                 return False
 
-            ids = np.nonzero(used)[0]
-            for i, j in pairs.tolist():
-                a, b = int(ids[i]), int(ids[j])
-                if near_in_graph(a, b):
-                    continue
-                v.append(("vertex", a,
-                          "closer than weld tolerance to vertex %d" % b))
-                break
+            for a, b in ids[pairs].tolist():
+                if not near_in_graph(a, b):
+                    v.append(("vertex", a,
+                              "closer than weld tolerance to vertex %d" % b))
+                    break
 
     # no proper segment crossings
     p0, p1, eid, _, _ = net.segment_arrays()
     if len(p0) > 1:
         mid = 0.5 * (p0 + p1)
-        half = 0.5 * np.linalg.norm(p1 - p0, axis=1)
-        r = float(np.max(half)) if len(half) else 0.0
-        for i, j in _pairs_within(mid, 2.0 * r + 1e-12,
-                                  net.domain.periodic).tolist():
-            # translate segment j to its minimum image next to segment i
-            off = net.domain.delta(mid[j], mid[i])
-            shift = (mid[i] - off) - mid[j]
-            b0 = p0[j] + shift
-            b1 = p1[j] + shift
-            if _segments_properly_cross(p0[i], p1[i], b0, b1):
-                v.append(("edge", int(eid[i]),
-                          "segment crossing with edge %d" % eid[j]))
+        r = 0.5 * float(np.max(net.segment_lengths()))
+        i, j = _pairs_within(mid, 2.0 * r + 1e-12, net.domain.periodic).T
+        # translate each segment j to its minimum image next to segment i
+        shift = (mid[i] - net.domain.delta(mid[j], mid[i])) - mid[j]
+        hit = _segments_properly_cross(p0[i], p1[i], p0[j] + shift,
+                                       p1[j] + shift)
+        v.extend(("edge", a, "segment crossing with edge %d" % b)
+                 for a, b in zip(eid[i[hit]].tolist(), eid[j[hit]].tolist()))
     return ValidationReport(v)
 
 
@@ -576,30 +600,13 @@ def region_loops(net: LabeledNetwork, label):
 
     Each loop keeps the region on its left; in the plane a positively oriented
     (counterclockwise) loop is an outer boundary and a negative one a hole.
+    A walk leaves each vertex by the end clockwise of the one it arrived
+    through, and its points are the running sum of the segment
+    displacements from its first vertex.
     """
-    ends = net.outgoing_ends()
-    # successor lookup: at each vertex sort outgoing ends by angle
-    by_vertex = {}
-    for vi, lst in ends.items():
-        angles = np.array([np.arctan2(d[1], d[0]) for d, _, _, _, _ in lst])
-        order = np.argsort(angles)
-        by_vertex[vi] = [lst[o] for o in order]
-
-    def successor(vi, d_in):
-        """Next outgoing end continuing the face left of the arrival direction."""
-        lst = by_vertex[vi]
-        rev = np.arctan2(-d_in[1], -d_in[0])
-        angs = [np.arctan2(d[1], d[0]) for d, _, _, _, _ in lst]
-        # first end strictly clockwise of the reversal (cyclically)
-        best, best_gap = None, None
-        for cand, a in zip(lst, angs):
-            gap = (rev - a) % (2.0 * np.pi)
-            if gap < 1e-12:
-                gap = 2.0 * np.pi  # the reversal itself: only if nothing else
-            if best_gap is None or gap < best_gap:
-                best, best_gap = cand, gap
-        return best
-
+    _, _, _, cw = net._ring
+    _, first, last = net.chain_entries()
+    d = net._segments[5]
     pending = set()
     for ei, e in enumerate(net.edges):
         if e.left == label:
@@ -609,38 +616,23 @@ def region_loops(net: LabeledNetwork, label):
 
     loops = []
     while pending:
-        key = next(iter(pending))
-        loop_pts = []
-        cur = key
-        while True:
-            if cur not in pending:
-                break  # arrived at an already-consumed branch; degenerate input
+        key = cur = next(iter(pending))
+        steps = []
+        while cur in pending:  # else a consumed branch: degenerate input
             pending.discard(cur)
             ei, forward = cur
-            chain = net.edges[ei].chain if forward else tuple(reversed(net.edges[ei].chain))
-            pts = net.vertices[list(chain)]
-            # unwrap relative to the running end point
-            if loop_pts:
-                base = loop_pts[-1]
-            else:
-                base = pts[0]
-            unwrapped = [np.asarray(base, dtype=float)]
-            for a, b in zip(chain[:-1], chain[1:]):
-                step = net.domain.delta(net.vertices[a], net.vertices[b])
-                unwrapped.append(unwrapped[-1] + step)
-            if not loop_pts:
-                loop_pts.extend(unwrapped)
-            else:
-                loop_pts.extend(unwrapped[1:])
-            v_end = chain[-1]
-            d_in = unwrapped[-1] - unwrapped[-2]
-            nxt = successor(v_end, d_in)
-            d, _, _, nei, nfwd = nxt
-            cur = (nei, nfwd)
+            seg = d[first[ei] - ei:last[ei] - ei]
+            steps.append(seg if forward else -seg[::-1])
+            k = int(cw[2 * ei + forward])  # the end it arrives through
+            cur = (k >> 1, not k & 1)
             if cur == key:
                 break
-        if len(loop_pts) >= 3:
-            loops.append(np.asarray(loop_pts))
+        ei, forward = key
+        start = net.edges[ei].chain[0 if forward else -1]
+        loop = np.cumsum(np.concatenate([net.vertices[start][None]] + steps),
+                         axis=0)
+        if len(loop) >= 3:
+            loops.append(loop)
     return loops
 
 
@@ -781,20 +773,15 @@ def weld_junctions(net: LabeledNetwork):
     cascade of welds resolves without recursion.
     """
     while True:
+        every, first, last = net.chain_entries()
         deg = net.vertex_degrees()
-        for ei, e in enumerate(net.edges):
-            c = e.chain
-            if c[0] == c[-1] or deg[c[0]] < 3 or deg[c[-1]] < 3:
-                continue
-            length = 0.0
-            for a, b in zip(c[:-1], c[1:]):
-                length += float(np.linalg.norm(net.domain.delta(
-                    net.vertices[a], net.vertices[b])))
-            if length < net.scale.weld:
-                break
-        else:
+        a, b = every[first], every[last]
+        short = np.flatnonzero((a != b) & (deg[a] >= 3) & (deg[b] >= 3)
+                               & (net.edge_lengths() < net.scale.weld))
+        if not len(short):
             return net
-        keep, drop = c[0], c[-1]
+        ei = int(short[0])
+        keep, drop = int(a[ei]), int(b[ei])
         mid = net.domain.wrap(net.vertices[keep] + 0.5 * net.domain.delta(
             net.vertices[keep], net.vertices[drop]))
         verts = net.vertices.copy()

@@ -75,9 +75,9 @@ def exp_weight():
 
 
 def weight_from_name(name):
-    if name in ("const", "one", "constant"):
+    if name == "const":
         return const_weight()
-    if name in ("exp", "exponential"):
+    if name == "exp":
         return exp_weight()
     raise ValueError("unknown weight variant %r" % (name,))
 
@@ -200,16 +200,6 @@ class VectorTestFunction:
             self.bump.grad(x) * self.omega.value(x)[..., None] + b * self.omega.grad(x)
         )
         return gs[..., :, None] * self.direction
-
-
-class ZeroField:
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros_like(x)
-
-    def jacobian(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape + (2,))
 
 
 def make_test_function(j, kind, center, omega: WeightFunction, dom: Domain,

@@ -228,9 +228,9 @@ def segment_arrays_loop(net):
             np.concatenate(eids), np.concatenate(lefts), np.concatenate(rights))
 
 
-def outgoing_ends_loop(net):
-    """vertex -> edge-end list one edge at a time, the reference for
-    LabeledNetwork.outgoing_ends."""
+def _ends_by_edge(net):
+    """vertex -> edge-end list, lists and keys in the order the edges list
+    them."""
     ends = {}
     for ei, e in enumerate(net.edges):
         c = e.chain
@@ -239,6 +239,205 @@ def outgoing_ends_loop(net):
         ends.setdefault(c[0], []).append((d0, e.left, e.right, ei, True))
         ends.setdefault(c[-1], []).append((d1, e.right, e.left, ei, False))
     return ends
+
+
+def outgoing_ends_loop(net):
+    """vertex -> edge-end list one edge at a time, keys ascending and each
+    list sorted counterclockwise (stable), the reference for
+    LabeledNetwork.outgoing_ends."""
+    return {vi: sorted(lst, key=lambda end: np.arctan2(end[0][1], end[0][0]))
+            for vi, lst in sorted(_ends_by_edge(net).items())}
+
+
+def edge_lengths_loop(net):
+    """Each chain's length as a running sum of per-segment norms."""
+    out = []
+    for e in net.edges:
+        length = 0.0
+        for a, b in zip(e.chain[:-1], e.chain[1:]):
+            length += float(np.linalg.norm(net.domain.delta(
+                net.vertices[a], net.vertices[b])))
+        out.append(length)
+    return np.asarray(out, dtype=float)
+
+
+def _segments_properly_cross_scalar(a0, a1, b0, b1, tol=1e-12):
+    d1 = a1 - a0
+    d2 = b1 - b0
+    den = d1[0] * d2[1] - d1[1] * d2[0]
+    if abs(den) < tol:
+        return False
+    r = b0 - a0
+    t = (r[0] * d2[1] - r[1] * d2[0]) / den
+    s = (r[0] * d1[1] - r[1] * d1[0]) / den
+    return tol < t < 1 - tol and tol < s < 1 - tol
+
+
+def validate_partition_loop(net):
+    """Partition check one edge, end and pair at a time with KD-tree pair
+    queries, the reference for network.validate_partition (junctions in
+    ascending vertex order)."""
+    import heapq
+    v = []
+    nv = len(net.vertices)
+    for ei, e in enumerate(net.edges):
+        if len(e.chain) < 2:
+            v.append(("edge", ei, "chain too short"))
+        if not (1 <= e.left <= net.n_labels and 1 <= e.right <= net.n_labels):
+            v.append(("edge", ei, "label out of range"))
+        if any(not 0 <= i < nv for i in e.chain):
+            v.append(("edge", ei, "vertex index out of range"))
+    if v:
+        return v
+
+    if not np.all(np.isfinite(net.vertices)):
+        v.append(("vertices", None, "non-finite coordinates"))
+    if net.domain.periodic:
+        if len(net.vertices) and not np.all(
+                (net.vertices >= -1e-12) & (net.vertices < 1.0 + 1e-12)):
+            v.append(("vertices", None, "outside fundamental cell"))
+    else:
+        x0, y0, x1, y1 = net.domain.bbox
+        if len(net.vertices) and not (
+                np.all(net.vertices[:, 0] >= x0) and np.all(net.vertices[:, 0] <= x1)
+                and np.all(net.vertices[:, 1] >= y0) and np.all(net.vertices[:, 1] <= y1)):
+            v.append(("vertices", None, "outside bounding box"))
+
+    deg = vertex_degrees_loop(net)
+    ends = _ends_by_edge(net)
+
+    def on_bbox(p):
+        if net.domain.periodic:
+            return False
+        x0, y0, x1, y1 = net.domain.bbox
+        tol = 1e-9
+        return (abs(p[0] - x0) < tol or abs(p[0] - x1) < tol
+                or abs(p[1] - y0) < tol or abs(p[1] - y1) < tol)
+
+    for ei, e in enumerate(net.edges):
+        for vi in (e.chain[0], e.chain[-1]):
+            if deg[vi] == 1 and e.left != e.right and not on_bbox(net.vertices[vi]):
+                v.append(("vertex", int(vi), "free end on non-interior edge"))
+
+    for vi, lst in sorted(ends.items()):
+        if len(lst) < 3:
+            continue
+        angles = [np.arctan2(d[1], d[0]) for d, _, _, _, _ in lst]
+        order = np.argsort(angles, kind="stable")
+        k = len(lst)
+        for a in range(k):
+            cur = lst[order[a]]
+            nxt = lst[order[(a + 1) % k]]
+            if cur[1] != nxt[2]:
+                v.append(("vertex", int(vi), "inconsistent labels around junction"))
+                break
+
+    ids = used_vertices_loop(net)
+    if len(ids) > 1:
+        pairs = sorted(pairs_within_tree(net.vertices[ids], net.scale.weld,
+                                         net.domain.periodic))
+        if pairs:
+            cap_len = 4.0 * net.scale.h_min
+            nbr = {}
+            for e in net.edges:
+                for a, b in zip(e.chain[:-1], e.chain[1:]):
+                    w = float(np.linalg.norm(net.domain.delta(
+                        net.vertices[a], net.vertices[b])))
+                    nbr.setdefault(a, []).append((b, w))
+                    nbr.setdefault(b, []).append((a, w))
+
+            def near_in_graph(a, b):
+                dist = {a: 0.0}
+                heap = [(0.0, a)]
+                while heap:
+                    d, x = heapq.heappop(heap)
+                    if x == b:
+                        return True
+                    if d > dist.get(x, np.inf):
+                        continue
+                    for y, w in nbr.get(x, ()):
+                        nd = d + w
+                        if nd <= cap_len and nd < dist.get(y, np.inf):
+                            dist[y] = nd
+                            heapq.heappush(heap, (nd, y))
+                return False
+
+            for i, j in pairs:
+                a, b = int(ids[i]), int(ids[j])
+                if near_in_graph(a, b):
+                    continue
+                v.append(("vertex", a,
+                          "closer than weld tolerance to vertex %d" % b))
+                break
+
+    p0, p1, eid, _, _ = segment_arrays_loop(net)
+    if len(p0) > 1:
+        mid = 0.5 * (p0 + p1)
+        r = 0.5 * float(np.max(np.linalg.norm(p1 - p0, axis=1)))
+        for i, j in sorted(pairs_within_tree(mid, 2.0 * r + 1e-12,
+                                             net.domain.periodic)):
+            off = net.domain.delta(mid[j], mid[i])
+            shift = (mid[i] - off) - mid[j]
+            if _segments_properly_cross_scalar(p0[i], p1[i], p0[j] + shift,
+                                               p1[j] + shift):
+                v.append(("edge", int(eid[i]),
+                          "segment crossing with edge %d" % eid[j]))
+    return v
+
+
+def region_loops_walk(net, label):
+    """Face tracing by an angle search at every vertex and per-segment
+    unwrapping, the reference for network.region_loops."""
+    by_vertex = {}
+    for vi, lst in _ends_by_edge(net).items():
+        angles = np.array([np.arctan2(d[1], d[0]) for d, _, _, _, _ in lst])
+        by_vertex[vi] = [lst[o] for o in np.argsort(angles, kind="stable")]
+
+    def successor(vi, d_in):
+        """Next outgoing end continuing the face left of the arrival direction."""
+        lst = by_vertex[vi]
+        rev = np.arctan2(-d_in[1], -d_in[0])
+        best, best_gap = None, None
+        for cand in lst:
+            a = np.arctan2(cand[0][1], cand[0][0])
+            gap = (rev - a) % (2.0 * np.pi)
+            if gap < 1e-12:
+                gap = 2.0 * np.pi  # the reversal itself: only if nothing else
+            if best_gap is None or gap < best_gap:
+                best, best_gap = cand, gap
+        return best
+
+    pending = set()
+    for ei, e in enumerate(net.edges):
+        if e.left == label:
+            pending.add((ei, True))
+        if e.right == label:
+            pending.add((ei, False))
+
+    loops = []
+    while pending:
+        key = next(iter(pending))
+        loop_pts = []
+        cur = key
+        while True:
+            if cur not in pending:
+                break
+            pending.discard(cur)
+            ei, forward = cur
+            chain = net.edges[ei].chain if forward else tuple(reversed(net.edges[ei].chain))
+            base = loop_pts[-1] if loop_pts else net.vertices[chain[0]]
+            unwrapped = [np.asarray(base, dtype=float)]
+            for a, b in zip(chain[:-1], chain[1:]):
+                step = net.domain.delta(net.vertices[a], net.vertices[b])
+                unwrapped.append(unwrapped[-1] + step)
+            loop_pts.extend(unwrapped if not loop_pts else unwrapped[1:])
+            _, _, _, nei, nfwd = successor(chain[-1], unwrapped[-1] - unwrapped[-2])
+            cur = (nei, nfwd)
+            if cur == key:
+                break
+        if len(loop_pts) >= 3:
+            loops.append(np.asarray(loop_pts))
+    return loops
 
 
 def vertex_degrees_loop(net):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grainflow.engine import (PAPER, PRACTICAL, FlowState,
                               InfeasibleParametersError, StepTooLargeError,
                               advance, curvature_step, run, schedule_params)
 from grainflow.kernels import Kernel
-from grainflow.network import region_areas
-from grainflow.scenes import parse_scene
+from grainflow.network import region_areas, validate_partition
+from grainflow.scenes import parse_scene, voronoi_scene
 from grainflow.weights import const_weight
 
 TWO_BANDS = """domain torus
@@ -110,3 +112,18 @@ def test_remesh_cadence_keeps_partition_valid():
     trace = run(small_circle(), sched)
     assert not any(r.violations for r in trace.reports)
     assert np.max(trace.frames[-1].segment_lengths()) <= 0.05 + 1e-12
+
+
+@settings(max_examples=5, deadline=None)
+@given(n=st.integers(4, 8), seed=st.integers(0, 10_000))
+def test_grain_runs_stay_valid(n, seed):
+    # 11 steps at the default cadence run remesh, weld and validation once
+    sched = schedule_params(PRACTICAL, 2, eps=0.1, dt=5e-4, steps=11,
+                            h_max=0.025)
+    trace = run(voronoi_scene(n, seed, h_max=0.025), sched, frame_every=11)
+    assert len(trace.reports) == 11
+    assert not any(r.violations for r in trace.reports)
+    last = trace.frames[-1]
+    assert validate_partition(last).ok
+    tab = region_areas(last)
+    assert abs(sum(tab.areas.values()) + tab.residual - 1.0) <= 1e-9

@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 from grainflow.domain import plane, torus
 from grainflow.network import (Edge, LabeledNetwork, MeshScale,
                                _nearest_boundary_labels, _pairs_within, label_at_points,
-                               region_areas, remesh, validate_partition,
-                               weld_junctions)
-from grainflow.scenes import parse_scene, voronoi_scene
+                               region_areas, region_loops, remesh, shoelace,
+                               validate_partition, weld_junctions)
+from grainflow.scenes import honeycomb_scene, parse_scene, voronoi_scene
 
-from oracles import (ngon_area, ngon_vertices, outgoing_ends_loop,
-                     pairs_within_tree, segment_arrays_loop, vertex_degrees_loop,
-                     weld_junctions_recursive)
+from oracles import (edge_lengths_loop, ngon_area, ngon_vertices,
+                     outgoing_ends_loop, pairs_within_tree, region_loops_walk,
+                     segment_arrays_loop, validate_partition_loop,
+                     vertex_degrees_loop, weld_junctions_recursive)
 
 TWO_BANDS = """domain torus
 labels 2
@@ -138,6 +139,62 @@ def corrupted(kind):
 def test_validate_violations_pinned(kind, want):
     # the violation lists the per-edge loops produced, pinned
     assert validate_partition(corrupted(kind)).violations == want
+
+
+def broken(net, kind, k):
+    """net with one defect of the given kind at the edge or vertex picked by
+    k, as in corrupted."""
+    ei = k % len(net.edges)
+    e = net.edges[ei]
+    edges = list(net.edges)
+    if kind == "crossing":  # an interior boundary across one segment
+        a, b = net.vertices[e.chain[0]], net.vertices[e.chain[1]]
+        d = net.domain.delta(a, b)
+        m = a + 0.5 * d
+        t = 0.01 * np.array([-d[1], d[0]]) / np.linalg.norm(d)
+        n = len(net.vertices)
+        return rebuilt(net, net.domain.wrap(np.vstack([net.vertices,
+                                                       m - t, m + t])),
+                       edges + [Edge((n, n + 1), e.left, e.left)])
+    if kind == "near-duplicate":  # one vertex next to another
+        v = net.vertices.copy()
+        used = net.used_vertices()
+        a, b = used[k % len(used)], used[(k // 7 + 1) % len(used)]
+        v[a] = net.domain.wrap(v[b] + [1e-4, 0.0])
+        return rebuilt(net, v)
+    if kind == "junction-labels":  # one edge's sides swapped
+        edges[ei] = Edge(e.chain, e.right, e.left)
+    elif kind == "free-end":  # one chain stops short of its last vertex
+        edges[ei] = Edge(e.chain[:-1], e.left, e.right)
+    return rebuilt(net, edges=edges)
+
+
+def plane_lines(ys, cut):
+    """Horizontal lines across the box [0,1]^2, free ends on its sides; the
+    line `cut` (if any) stops inside the box."""
+    verts, edges = [], []
+    for i, y in enumerate(ys):
+        x1 = 0.6 if i == cut else 1.0
+        verts += [(0.0, y), (0.5, y), (x1, y)]
+        edges.append(Edge((3 * i, 3 * i + 1, 3 * i + 2), i + 1, i + 2))
+    return LabeledNetwork(plane((0, 0, 1, 1)), len(ys) + 1, np.array(verts),
+                          edges)
+
+
+_broken_voronoi = st.builds(
+    broken, st.builds(voronoi_scene, st.integers(3, 12), st.integers(0, 10_000)),
+    st.sampled_from(["crossing", "near-duplicate", "junction-labels",
+                     "free-end"]),
+    st.integers(0, 10**6))
+_plane_lines = st.builds(
+    plane_lines, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5,
+                          unique=True), st.integers(-1, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(net=st.one_of(_broken_voronoi, _plane_lines))
+def test_validate_matches_loop(net):
+    assert validate_partition(net).violations == validate_partition_loop(net)
 
 
 # torus coordinates on and across the seam (mod 1 takes -1e-12 next to 1.0)
@@ -370,6 +427,7 @@ def same_bits(a, b):
 def assert_segments_match_loops(net):
     for got, want in zip(net.segment_arrays(), segment_arrays_loop(net)):
         assert same_bits(got, want)
+    assert same_bits(net.edge_lengths(), edge_lengths_loop(net))
     got, want = net.outgoing_ends(), outgoing_ends_loop(net)
     assert list(got) == list(want)
     for vi in want:
@@ -404,7 +462,8 @@ def test_network_is_immutable_with_own_caches():
     assert net.segment_arrays()[0] is p0  # computed once
     with pytest.raises(ValueError):
         net.vertices[0, 0] = 0.5
-    for arr in net.segment_arrays() + net.chain_entries():
+    for arr in (net.segment_arrays() + net.chain_entries()
+                + (net.segment_lengths(), net.edge_lengths())):
         with pytest.raises(ValueError):
             arr[0] = arr[1]
     moved = rebuilt(net, np.mod(net.vertices + 0.01, 1.0))
@@ -412,3 +471,36 @@ def test_network_is_immutable_with_own_caches():
         assert other.segment_arrays()[0] is not p0
         assert_segments_match_loops(other)
     assert not np.array_equal(moved.segment_arrays()[0], p0)
+
+
+def annulus(periodic, center, r_out, r_in):
+    """Label 2 between two circles around center, label 3 inside."""
+    head = ("domain torus\n" if periodic
+            else "domain plane bbox=(-1.5,-1.5,1.5,1.5)\n")
+    return parse_scene(head + "labels 3\n"
+                       "circle center=(%r,%r) r=%r n=64 inside=2 outside=1\n"
+                       "circle center=(%r,%r) r=%r n=40 inside=3 outside=2\n"
+                       % (center + (r_out,) + center + (r_in,)), h_max=0.02)
+
+
+_center = st.one_of(st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2)),
+                    st.sampled_from([(0.0, 0.0), (1e-3, -2e-3), (0.5, 0.5)]))
+
+
+@settings(max_examples=15, deadline=None)
+@given(net=st.one_of(
+    st.builds(voronoi_scene, st.integers(3, 16), st.integers(0, 10_000)),
+    st.builds(annulus, st.booleans(), _center, st.floats(0.2, 0.35),
+              st.floats(0.05, 0.12))))
+@example(net=honeycomb_scene(3, 2))
+@example(net=annulus(True, (0.0, 0.0), 0.3, 0.1))  # hole across both seams
+def test_region_loops_match_walk(net):
+    areas = region_areas(net).areas
+    for label in range(1, net.n_labels + 1):
+        got, want = region_loops(net, label), region_loops_walk(net, label)
+        assert len(got) == len(want)
+        assert all(same_bits(g, w) for g, w in zip(got, want))
+        # a grain bounded by one counterclockwise loop is the disk inside it
+        if len(got) == 1 and shoelace(got[0]) > 0.0:
+            assert abs(shoelace(got[0]) - areas[label]) <= 1e-12 * areas[label]
+    assert same_bits(net.edge_lengths(), edge_lengths_loop(net))

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 import grainflow.varifold as vf
 from grainflow.domain import plane, torus
-from grainflow.engine import _used_vertices
 from grainflow.kernels import Kernel
 from grainflow.network import Edge, LabeledNetwork
 from grainflow.scenes import parse_scene, voronoi_scene
@@ -345,6 +344,6 @@ def test_chain_vertex_ids_match_loops(n, seed):
         v0, v1 = segment_vertex_ids_loop(net)
         assert V.v0.dtype == v0.dtype and np.array_equal(V.v0, v0)
         assert V.v1.dtype == v1.dtype and np.array_equal(V.v1, v1)
-        used = _used_vertices(net)
+        used = net.used_vertices()
         assert used.dtype == used_vertices_loop(net).dtype
         assert np.array_equal(used, used_vertices_loop(net))
