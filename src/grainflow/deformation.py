@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import (Edge, LabeledNetwork, compact, region_areas,
+from .network import (LabeledNetwork, drop_edges, rebuild, region_areas,
                       region_loops, shoelace, validate_partition)
 from .varifold import build_varifold_view, omega_mass
 from .weights import WeightFunction, const_weight
@@ -124,13 +124,12 @@ def verify_admissible(net_before, net_after, move: Move, j, omega=None):
     return Admissibility(True)
 
 
-def _length_of(net, edge_ids):
-    """Total length of the given edges: a running sum over their segments,
-    edge by edge in the given order."""
+def _length_of(net, edges):
+    """Total length of the edges a mask picks: a running sum over their
+    segments in edge order."""
     _, first, last = net.chain_entries()
-    seg = np.concatenate([np.arange(first[e] - e, last[e] - e)
-                          for e in edge_ids])
-    return float(np.cumsum(net.segment_lengths()[seg])[-1])
+    return float(np.cumsum(net.segment_lengths()[
+        np.repeat(edges, last - first)])[-1])
 
 
 # ---- interior boundary removal -------------------------------------------------
@@ -138,35 +137,31 @@ def _length_of(net, edge_ids):
 
 def remove_interior_boundary(net: LabeledNetwork, edge_index):
     """Delete a same-label edge and recursively prune what it leaves dangling."""
-    e = net.edges[edge_index]
-    if e.left != e.right:
+    lab = net.edge_labels()
+    if lab[edge_index, 0] != lab[edge_index, 1]:
         raise ValueError("edge %d separates distinct labels" % edge_index)
-    removed = {edge_index}
-    affected = {e.chain[0], e.chain[-1]}
-    # prune interior edges that lose their anchor at an affected endpoint
-    changed = True
-    while changed:
-        changed = False
-        deg = np.zeros(len(net.vertices), dtype=int)
-        for fi, f in enumerate(net.edges):
-            if fi in removed:
-                continue
-            deg[f.chain[0]] += 1
-            deg[f.chain[-1]] += 1
-        for fi, f in enumerate(net.edges):
-            if fi in removed or f.left != f.right:
-                continue
-            if f.chain[0] == f.chain[-1]:
-                continue
-            for vi in (f.chain[0], f.chain[-1]):
-                if vi in affected and deg[vi] == 1:
-                    removed.add(fi)
-                    affected.update((f.chain[0], f.chain[-1]))
-                    changed = True
-                    break
+    every, first, last = net.chain_entries()
+    a, b = every[first], every[last]
+    nv = len(net.vertices)
+    removed = np.zeros(len(lab), dtype=bool)
+    removed[edge_index] = True
+    affected = np.zeros(nv, dtype=bool)
+    affected[[a[edge_index], b[edge_index]]] = True
+    # prune interior open edges left as the only edge at an affected endpoint,
+    # until none is
+    prunable = (lab[:, 0] == lab[:, 1]) & (a != b)
+    while True:
+        live = ~removed
+        deg = (np.bincount(a[live], minlength=nv)
+               + np.bincount(b[live], minlength=nv))
+        hit = live & prunable & ((affected[a] & (deg[a] == 1))
+                                 | (affected[b] & (deg[b] == 1)))
+        if not hit.any():
+            break
+        removed |= hit
+        affected[a[hit]] = affected[b[hit]] = True
 
-    pts = np.concatenate([net.vertices[list(net.edges[fi].chain)]
-                          for fi in removed])
+    pts = net.vertices[every[np.repeat(removed, last - first + 1)]]
     # tight enclosing ball of the deleted geometry (unwrap about first point)
     rel = net.domain.delta(pts[0], pts)
     center = net.domain.wrap(pts[0] + 0.5 * (rel.min(axis=0) + rel.max(axis=0)))
@@ -174,9 +169,7 @@ def remove_interior_boundary(net: LabeledNetwork, edge_index):
         net.domain.delta(center, pts), axis=1))) + 1e-9
     removed_length = _length_of(net, removed)
 
-    edges = [f for fi, f in enumerate(net.edges) if fi not in removed]
-    out = compact(LabeledNetwork(net.domain, net.n_labels,
-                                 net.vertices.copy(), edges, net.scale))
+    out = drop_edges(net, removed)
     lb = length_in_ball(net, center, radius)
     move = Move("interior-boundary-removal", center, radius,
                 displacement=2.0 * radius,  # crush of the piece to a point
@@ -195,26 +188,23 @@ def collapse_small_region(net: LabeledNetwork, label, j):
     vertices with nothing else in its enclosing ball.  Non-qualifying smallness
     returns the identity outcome; non-disk or ambiguous surroundings raise.
     """
-    bedges = [ei for ei, e in enumerate(net.edges)
-              if label in (e.left, e.right)]
-    if not bedges:
+    lab = net.edge_labels()
+    bedges = np.any(lab == label, axis=1)
+    if not bedges.any():
         raise NotADiskError("label %d has no boundary" % label)
     loops = region_loops(net, label)
     if len(loops) != 1:
         raise NotADiskError("label %d region is not a topological disk" % label)
-    surrounding = set()
-    for ei in bedges:
-        e = net.edges[ei]
-        other = e.right if e.left == label else e.left
-        if other != label:
-            surrounding.add(other)
+    other = np.where(lab[:, 0] == label, lab[:, 1], lab[:, 0])[bedges]
+    surrounding = np.unique(other[other != label]).tolist()
     if len(surrounding) != 1:
         raise DominanceAmbiguityError(
-            "no single surrounding label for %d: %s" % (label, sorted(surrounding)))
-    i0 = surrounding.pop()
+            "no single surrounding label for %d: %s" % (label, surrounding))
+    i0 = surrounding[0]
 
-    deg = net.vertex_degrees()
-    if any(deg[vi] != 2 for ei in bedges for vi in net.edges[ei].chain):
+    every, first, last = net.chain_entries()
+    if np.any(net.vertex_degrees()[
+            every[np.repeat(bedges, last - first + 1)]] != 2):
         return identity_outcome(net)  # pinned by junctions; welding handles it
 
     loop = loops[0]
@@ -234,9 +224,7 @@ def collapse_small_region(net: LabeledNetwork, label, j):
     if area > C3_AREA * ell * ell + 1e-12:
         return identity_outcome(net)  # isoperimetrically impossible; defensive
 
-    edges = [f for fi, f in enumerate(net.edges) if fi not in set(bedges)]
-    out = compact(LabeledNetwork(net.domain, net.n_labels,
-                                 net.vertices.copy(), edges, net.scale))
+    out = drop_edges(net, bedges)
     move = Move("small-region-collapse", center, R,
                 displacement=diam, length_before=mass_ball,
                 length_after=mass_ball - ell)
@@ -358,50 +346,37 @@ def split_high_order_junction(net: LabeledNetwork, junction, j):
         return identity_outcome(net)
     L, k, t, symmetric = best
 
-    verts = [p for p in net.vertices]
-
-    def add_vertex(p):
-        verts.append(net.domain.wrap(np.asarray(p, dtype=float)))
-        return len(verts) - 1
-
-    cut_idx = [add_vertex(v + cuts[i]) for i in range(d)]
+    # new vertices: cut i is n + i, then u at n + d (and w at n + d + 1); the
+    # arms of u's group join u, the others the bridge's far end (w or the
+    # old junction)
+    n = len(net.vertices)
+    iu = [k, (k + 1) % d]
+    bu = units[iu[0]] + units[iu[1]]
+    bu /= np.linalg.norm(bu)
+    new = [v + cuts, v + t * bu]
     if symmetric:
-        iu = [k, (k + 1) % 4]
-        iw = [(k + 2) % 4, (k + 3) % 4]
-        bu = units[iu[0]] + units[iu[1]]
-        bw = units[iw[0]] + units[iw[1]]
-        bu /= np.linalg.norm(bu)
+        bw = units[(k + 2) % 4] + units[(k + 3) % 4]
         bw /= np.linalg.norm(bw)
-        u_idx = add_vertex(v + t * bu)
-        w_idx = add_vertex(v + t * bw)
-        group_of = {}
-        for i in iu:
-            group_of[i] = u_idx
-        for i in iw:
-            group_of[i] = w_idx
-        # bridge labels from the sectors it separates (keeps junctions cyclic)
-        bridge = Edge((u_idx, w_idx), ends[iu[0]][2], ends[iu[1]][1])
+        new.append(v + t * bw)
+        bridge = [n + d, n + d + 1]
     else:
-        iu = [k, (k + 1) % d]
-        bu = units[iu[0]] + units[iu[1]]
-        bu /= np.linalg.norm(bu)
-        u_idx = add_vertex(v + t * bu)
-        group_of = {i: (u_idx if i in iu else junction) for i in range(d)}
-        bridge = Edge((u_idx, junction), ends[iu[0]][2], ends[iu[1]][1])
+        bridge = [n + d, junction]
+    join = np.where(np.isin(np.arange(d), iu), *bridge)
 
-    edges = list(net.edges)
-    for i, (dd, L_out, R_out, ei, fwd) in enumerate(ends):
-        nj = group_of[i]
-        ch = edges[ei].chain
-        if fwd:
-            edges[ei] = Edge((nj, cut_idx[i]) + ch[1:], edges[ei].left,
-                             edges[ei].right)
-        else:
-            edges[ei] = Edge(ch[:-1] + (cut_idx[i], nj), edges[ei].left,
-                             edges[ei].right)
-    edges.append(bridge)
-    out = compact(LabeledNetwork(net.domain, net.n_labels,
-                                 np.asarray(verts, dtype=float), edges, net.scale))
+    # each arm leaves its new junction through its cut vertex; the bridge
+    # takes its labels from the sectors it separates (keeps junctions cyclic)
+    every, first, last = net.chain_entries()
+    ei, fwd = np.array([e[3:] for e in ends]).T
+    at = np.where(fwd, first[ei], last[ei])
+    entries = every.copy()
+    entries[at] = join
+    entries = np.insert(entries, at + fwd, n + np.arange(d))
+    counts = last - first + 1 + np.bincount(ei, minlength=len(first))
+    out = rebuild(net, np.vstack([net.vertices,
+                                  net.domain.wrap(np.vstack(new))]),
+                  np.r_[entries, bridge], np.r_[counts, 2],
+                  np.vstack([net.edge_labels(),
+                             [ends[iu[0]][2], ends[iu[1]][1]]]))
     radius = rho + t + 1e-9
     lb = length_in_ball(net, v, radius)
     move = Move("junction-split", np.asarray(v, dtype=float), radius,
@@ -417,26 +392,23 @@ def _kink_candidates(net, cos_threshold=0.9):
     """Interior degree-2 vertices whose turning angle exceeds the threshold.
 
     Returns (cos, vertex, prev, next) tuples in ascending order, the first
-    hit per vertex.  The scan builds every chain's (prev, vertex, next)
-    triples by slicing; a closed chain contributes positions 0..n-2 with
-    chain[-2] before position 0.  Dots and norms use a batched matmul over
+    hit per vertex.  The scan takes every chain's (prev, vertex, next)
+    triples from the chain entries; a closed chain contributes positions
+    0..n-2 with chain[-2] before position 0.  Dots and norms use a batched matmul over
     the pairs because it rounds as np.dot and np.linalg.norm do on one pair;
     einsum or an explicit sum differ by an ulp or two on some pairs, which
     reorders the tied cosines of a regular polygon at threshold 1.
     """
-    deg = net.vertex_degrees()
-    triples = []
-    for e in net.edges:
-        c = np.asarray(e.chain)
-        if c[0] == c[-1]:
-            triples.append((np.concatenate([c[-2:-1], c[:-2]]), c[:-1], c[1:]))
-        else:
-            triples.append((c[:-2], c[1:-1], c[2:]))
-    if not triples:
+    every, first, last = net.chain_entries()
+    pos = net.vertex_degrees()[every] == 2
+    pos[last] = False
+    pos[first[every[first] != every[last]]] = False
+    p = np.flatnonzero(pos)
+    if not len(p):
         return []
-    prev, mid, nxt = (np.concatenate(t) for t in zip(*triples))
-    keep = deg[mid] == 2
-    prev, mid, nxt = prev[keep], mid[keep], nxt[keep]
+    back = np.arange(len(every)) - 1
+    back[first] = last - 1
+    prev, mid, nxt = every[back[p]], every[p], every[p + 1]
     a = net.domain.delta(net.vertices[prev], net.vertices[mid])
     b = net.domain.delta(net.vertices[mid], net.vertices[nxt])
     na = np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
@@ -548,11 +520,11 @@ def lipschitz_step(net: LabeledNetwork, j, omega: WeightFunction = None):
     progress = True
     while progress:
         progress = False
-        for ei, e in enumerate(current.edges):
-            if e.left == e.right:
-                if attempt(remove_interior_boundary(current, ei)):
-                    progress = True
-                    break
+        lab = current.edge_labels()
+        for ei in np.flatnonzero(lab[:, 0] == lab[:, 1]).tolist():
+            if attempt(remove_interior_boundary(current, ei)):
+                progress = True
+                break
 
     blen = None  # per-label boundary lengths of current
     for label in range(1, net.n_labels + 1):

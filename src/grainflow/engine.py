@@ -56,10 +56,10 @@ class Schedule:
     kappa: float = 0.05
 
 
-def schedule_params(mode, j, eps=None, dt=None, n=1, steps=0, kappa=0.05,
+def schedule_params(mode, j, eps=None, dt=None, steps=0, kappa=0.05,
                     h_max=0.05, c1=0.0, remesh_cadence=10,
                     extinction_threshold=1e-3):
-    c_a = 3 * n + 20
+    c_a = 23  # 3n + 20 for curves (n = 1)
     if mode == PAPER:
         if j < max(1.0, c1):
             raise InfeasibleParametersError("j >= max{1, c1} violated")
@@ -207,8 +207,6 @@ def advance(state: FlowState, sched: Schedule):
 class RunTrace:
     times: list = field(default_factory=list)
     frames: list = field(default_factory=list)  # LabeledNetwork snapshots
-    vertex_h: list = field(default_factory=list)  # (ids, h) per frame
-    energies: list = field(default_factory=list)
     reports: list = field(default_factory=list)
     # per-step (pre-move network, vertex ids, h at those vertices); populated
     # when the run keeps step data for the Brakke-residual diagnostic
@@ -236,19 +234,9 @@ def run(net: LabeledNetwork, sched: Schedule, kernel=None, omega=None,
     state = FlowState(net.copy(), kernel, omega)
     trace = RunTrace()
 
-    def record(frag=None):
+    def record():
         trace.times.append(state.t)
         trace.frames.append(state.net.copy())
-        if frag is not None:
-            trace.vertex_h.append((frag["vertex_ids"], frag["h_vertices"]))
-            trace.energies.append(frag["energy"])
-        else:
-            V = build_varifold_view(state.net, omega)
-            vids = state.net.used_vertices()
-            h, energy = curvature_and_energy(
-                V, kernel, omega, state.net.vertices[vids])
-            trace.vertex_h.append((vids, h))
-            trace.energies.append(energy)
         if sinks is not None:
             sinks.on_frame(state.net, state.t)
 
@@ -262,7 +250,7 @@ def run(net: LabeledNetwork, sched: Schedule, kernel=None, omega=None,
         if sinks is not None:
             sinks.on_report(report)
         if (l + 1) % frame_every == 0 or report.mass_post < sched.extinction_threshold:
-            record(frag)
+            record()
         if report.mass_post < sched.extinction_threshold:
             break
     if trace.times[-1] != state.t:

@@ -51,15 +51,13 @@ class QuadratureBudgetError(RuntimeError):
     pass
 
 
-def kernel_normalize(eps, n=1):
-    """Normalization constant c(eps) for ambient dimension n+1 = 2.
+def kernel_normalize(eps):
+    """Normalization constant c(eps) for curves in the plane (n = 1).
 
     The radial mass of psi * PhiHat is 1 - exp(-1/(8 eps^2)) on B_{1/2} plus
     the transition annulus by a fixed 64-node Gauss-Legendre rule on [1/2, 1];
     the 48-node rule's difference is the error estimate held to the budget.
     """
-    if n != 1:
-        raise NotImplementedError("curves in the plane only (n=1)")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0,1)")
     inner = -np.expm1(-1.0 / (8.0 * eps * eps))

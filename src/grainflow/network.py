@@ -127,6 +127,10 @@ class LabeledNetwork:
         cw[order] = order[prev]
         return _read_only(order, vertex, d, cw)
 
+    def edge_labels(self):
+        """(E, 2) array of each edge's (left, right)."""
+        return self._labels
+
     def segment_arrays(self):
         """(p0, p1, edge_id, left, right) per segment, chains in edge order,
         with p1 unwrapped next to p0 on the torus."""
@@ -154,7 +158,7 @@ class LabeledNetwork:
         is True for the chain-start end.
         """
         order, vertex, d, _ = self._ring
-        lab = self._labels.ravel().tolist()
+        lab = self.edge_labels().ravel().tolist()
         ends = {}
         for k, vi in zip(order.tolist(), vertex[order].tolist()):
             ends.setdefault(vi, []).append(
@@ -274,17 +278,24 @@ def _pairs_within(pts, r, periodic):
     return np.column_stack([i[order], j[order]])
 
 
+_EDGE_FAULTS = ("chain too short", "label out of range",
+                "vertex index out of range")
+
+
 def validate_partition(net: LabeledNetwork):
     """Check the partition invariants; violations are data, not faults."""
-    v = []
     nv = len(net.vertices)
-    for ei, e in enumerate(net.edges):
-        if len(e.chain) < 2:
-            v.append(("edge", ei, "chain too short"))
-        if not (1 <= e.left <= net.n_labels and 1 <= e.right <= net.n_labels):
-            v.append(("edge", ei, "label out of range"))
-        if any(not 0 <= i < nv for i in e.chain):
-            v.append(("edge", ei, "vertex index out of range"))
+    every, first, last = net.chain_entries()
+    n = last - first + 1
+    lab = net.edge_labels()
+    # per-edge checks, rows in edge order
+    bad = np.column_stack([
+        n < 2, np.any((lab < 1) | (lab > net.n_labels), axis=1),
+        np.bincount(np.repeat(np.arange(len(n)), n),
+                    (every < 0) | (every >= nv), minlength=len(n)) > 0])
+    rows, cols = np.nonzero(bad)
+    v = [("edge", ei, _EDGE_FAULTS[c])
+         for ei, c in zip(rows.tolist(), cols.tolist())]
     if v:
         return ValidationReport(v)
 
@@ -304,7 +315,7 @@ def validate_partition(net: LabeledNetwork):
     # free ends only on interior boundaries, or on the plane bounding box
     # (partitions of the whole plane are truncated there)
     _, vertex, _, cw = net._ring
-    lab = net._labels.ravel()
+    lab = lab.ravel()
     free = ((net.vertex_degrees()[vertex] == 1)
             & np.repeat(lab[0::2] != lab[1::2], 2))
     if not net.domain.periodic:  # (x0, y0, x1, y1) against (x, y, x, y)
@@ -333,7 +344,6 @@ def validate_partition(net: LabeledNetwork):
             # genuine near self-touch rather than a single small feature
             import heapq
             cap_len = 4.0 * net.scale.h_min
-            every, first, last = net.chain_entries()
             nbr = {}
             for a, b, w in zip(np.delete(every, last).tolist(),
                                np.delete(every, first).tolist(),
@@ -526,11 +536,7 @@ class RegionAreaTable:
     infinite: set  # labels with unbounded regions (plane mode)
 
 
-class UnboundedRegionError(RuntimeError):
-    pass
-
-
-def region_areas(net: LabeledNetwork, allow_infinite=True):
+def region_areas(net: LabeledNetwork):
     """Exact per-label areas by trapezoids over slab_sweep's slabs.
 
     label_at_points locates points with the same sweep.  Within a slab
@@ -585,8 +591,6 @@ def region_areas(net: LabeledNetwork, allow_infinite=True):
     order = np.lexsort((pos[keep], slab[keep]))
     sums = np.bincount(lab[keep][order], weights=val[keep][order],
                        minlength=net.n_labels + 1)
-    if infinite and not allow_infinite:
-        raise UnboundedRegionError("unbounded regions: %s" % sorted(infinite))
     return RegionAreaTable({lab: float(sums[lab])
                             for lab in range(1, net.n_labels + 1)},
                            float(sums[0]), infinite)
@@ -684,11 +688,41 @@ def label_at_points(net: LabeledNetwork, points):
     return slab_sweep(net).labels(points)
 
 
-# ---- remesh -------------------------------------------------------------------
+# ---- edits: every change to an existing network's chains ----------------------
 
 
-class RemeshCollisionError(RuntimeError):
-    pass
+def rebuild(net: LabeledNetwork, vertices, entries, counts, labels):
+    """A network on net's domain, labels and scale with the given chains.
+
+    `entries` is every chain's vertex indices laid end to end, `counts` each
+    chain's length and `labels` each chain's (left, right).  Vertices no chain
+    uses are dropped and the rest renumbered in index order.  The chain arrays
+    seed the new network's cache, so it never walks its own Edge tuples.
+    """
+    labels = np.array(labels, dtype=int).reshape(-1, 2)
+    used = np.zeros(len(vertices), dtype=bool)
+    used[entries] = True
+    every = (np.cumsum(used) - 1)[entries]
+    stop = np.cumsum(counts)
+    flat = every.tolist()
+    edges = [Edge(tuple(flat[a:b]), left, right) for a, b, (left, right)
+             in zip((stop - counts).tolist(), stop.tolist(), labels.tolist())]
+    out = LabeledNetwork(net.domain, net.n_labels,
+                         np.asarray(vertices, dtype=float)[used], edges,
+                         net.scale)
+    out.__dict__["_chains"] = _read_only(every, stop - counts, stop - 1)
+    out.__dict__["_labels"] = _read_only(labels)[0]
+    return out
+
+
+def drop_edges(net: LabeledNetwork, ids):
+    """net without the edges `ids` and the vertices only they used."""
+    every, first, last = net.chain_entries()
+    counts = last - first + 1
+    keep = np.ones(len(counts), dtype=bool)
+    keep[ids] = False
+    return rebuild(net, net.vertices, every[np.repeat(keep, counts)],
+                   counts[keep], net.edge_labels()[keep])
 
 
 def remesh(net: LabeledNetwork, h_min=None, h_max=None):
@@ -699,69 +733,54 @@ def remesh(net: LabeledNetwork, h_min=None, h_max=None):
     junction vertices.  A junction-to-junction chain that is a single short
     segment is left alone (welding junctions is a separate, explicit event).
     """
-    scale = net.scale
-    if h_min is None:
-        h_min = scale.h_min
-    if h_max is None:
-        h_max = scale.h_max
+    h_min = net.scale.h_min if h_min is None else h_min
+    h_max = net.scale.h_max if h_max is None else h_max
     dom = net.domain
-    verts = [v for v in net.vertices]
-    new_edges = []
-    deg = net.vertex_degrees()
-
-    for e in net.edges:
-        chain = list(e.chain)
-        closed = chain[0] == chain[-1]
-        # pass 1: merge runs of short segments by dropping interior vertices
-        out = [chain[0]]
-        acc = 0.0
-        for a, b in zip(chain[:-1], chain[1:]):
-            step = float(np.linalg.norm(dom.delta(net.vertices[out[-1]], net.vertices[b])))
-            seg = float(np.linalg.norm(dom.delta(net.vertices[a], net.vertices[b])))
-            is_last = b == chain[-1]
-            # keep once the accumulated step reaches h_min, or the segment
-            # itself is long enough; dropping whole runs of short segments
-            # would move the boundary without bound
-            keep = seg >= h_min or step >= h_min or is_last or deg[b] != 2
-            if keep:
-                out.append(b)
-            # else: drop b, merging its two segments
-        chain = out
-        if closed and len(chain) < 4 and len(set(chain)) < 3:
-            # do not let a loop degenerate below a triangle
-            chain = list(e.chain)
-        # pass 2: recursive midpoint split of long segments
-        final = [chain[0]]
-        for a, b in zip(chain[:-1], chain[1:]):
-            pa = np.asarray(verts[a], dtype=float)
-            step = dom.delta(pa, net.vertices[b])
-            length = float(np.linalg.norm(step))
-            pieces = 1
-            # relative slack: a segment of length h_max up to roundoff stays whole
-            while length / pieces > h_max * (1.0 + 1e-12):
-                pieces *= 2
-            for k in range(1, pieces):
-                p = dom.wrap(pa + step * (k / pieces))
-                verts.append(p)
-                final.append(len(verts) - 1)
-            final.append(b)
-        new_edges.append(Edge(tuple(final), e.left, e.right))
-
-    out_net = LabeledNetwork(net.domain, net.n_labels,
-                             np.asarray(verts, dtype=float), new_edges, net.scale)
-    return compact(out_net)
-
-
-def compact(net: LabeledNetwork):
-    """Drop unused vertices and reindex chains."""
-    used = np.zeros(len(net.vertices), dtype=bool)
-    for e in net.edges:
-        used[list(e.chain)] = True
-    idx = np.cumsum(used) - 1
-    verts = net.vertices[used]
-    edges = [Edge(tuple(int(idx[i]) for i in e.chain), e.left, e.right)
-             for e in net.edges]
-    return LabeledNetwork(net.domain, net.n_labels, verts, edges, net.scale)
+    V = net.vertices
+    every, first, last = net.chain_entries()
+    counts = last - first + 1
+    chain_of = np.repeat(np.arange(len(counts)), counts)
+    # pass 1: an interior degree-2 entry behind a short segment is dropped
+    # while the step from the last kept entry stays below h_min (dropping
+    # whole runs of short segments would move the boundary without bound);
+    # only such entries need the sequential walk
+    cand = np.zeros(len(every), dtype=bool)
+    cand[np.delete(np.arange(len(every)), first)] = (
+        net.segment_lengths() < h_min)
+    cand[last] = False
+    cand &= net.vertex_degrees()[every] == 2
+    drop = np.zeros(len(every), dtype=bool)
+    anchor = -1
+    for p in np.flatnonzero(cand).tolist():
+        if not drop[p - 1]:  # the step from p - 1 is the short segment
+            anchor = p - 1
+            drop[p] = True
+        else:
+            drop[p] = float(np.linalg.norm(
+                dom.delta(V[every[anchor]], V[every[p]]))) < h_min
+    # do not let a loop degenerate below a triangle
+    kept = counts - np.bincount(chain_of[drop], minlength=len(counts))
+    drop &= ~((every[first] == every[last]) & (kept < 4))[chain_of]
+    kept = counts - np.bincount(chain_of[drop], minlength=len(counts))
+    every = every[~drop]
+    last = np.cumsum(kept) - 1
+    # pass 2: halve each long segment until its pieces fit h_max (relative
+    # slack: a segment of length h_max up to roundoff stays whole)
+    a, b = np.delete(every, last), np.delete(every, last - kept + 1)
+    step = dom.delta(V[a], V[b])
+    length = np.sqrt((step[:, None, :] @ step[:, :, None])[:, 0, 0])
+    pieces = np.ones(len(a), dtype=int)
+    while (split := length / pieces > h_max * (1.0 + 1e-12)).any():
+        pieces[split] *= 2
+    s = np.repeat(np.arange(len(a)), pieces - 1)  # the segment of each new vertex
+    k = np.arange(len(s)) - (np.cumsum(pieces - 1) - pieces + 1)[s] + 1
+    new = dom.wrap(V[a[s]] + step[s] * (k / pieces[s])[:, None])
+    starts = np.delete(np.arange(len(every)), last)
+    entries = np.insert(every, starts[s] + 1, len(V) + np.arange(len(s)))
+    seg_chain = np.repeat(np.arange(len(kept)), kept - 1)
+    return rebuild(net, np.concatenate([V, new]), entries,
+                   kept + np.bincount(seg_chain[s], minlength=len(kept)),
+                   net.edge_labels())
 
 
 def weld_junctions(net: LabeledNetwork):
@@ -782,12 +801,12 @@ def weld_junctions(net: LabeledNetwork):
             return net
         ei = int(short[0])
         keep, drop = int(a[ei]), int(b[ei])
-        mid = net.domain.wrap(net.vertices[keep] + 0.5 * net.domain.delta(
-            net.vertices[keep], net.vertices[drop]))
         verts = net.vertices.copy()
-        verts[keep] = mid
-        edges = [Edge(tuple(keep if i == drop else i for i in f.chain),
-                      f.left, f.right)
-                 for fj, f in enumerate(net.edges) if fj != ei]
-        net = compact(LabeledNetwork(net.domain, net.n_labels, verts, edges,
-                                     net.scale))
+        verts[keep] = net.domain.wrap(verts[keep] + 0.5 * net.domain.delta(
+            verts[keep], verts[drop]))
+        counts = last - first + 1
+        other = np.arange(len(counts)) != ei
+        net = rebuild(net, verts,
+                      np.where(every == drop, keep, every)[
+                          np.repeat(other, counts)],
+                      counts[other], net.edge_labels()[other])

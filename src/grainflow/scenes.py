@@ -21,7 +21,7 @@ import re
 import numpy as np
 
 from .domain import plane, torus
-from .network import (Edge, LabeledNetwork, MeshScale, compact, remesh,
+from .network import (Edge, LabeledNetwork, MeshScale, rebuild, remesh,
                       weld_junctions)
 
 
@@ -104,9 +104,8 @@ class _Builder:
                  if self.vertices else np.zeros((0, 2)))
         if self.domain.periodic:
             verts = np.mod(verts, 1.0)
-        net = LabeledNetwork(self.domain, self.n_labels, verts, self.edges,
-                             self.scale)
-        return compact(net)
+        return LabeledNetwork(self.domain, self.n_labels, verts, self.edges,
+                              self.scale)
 
 
 def parse_scene(text, h_max=0.05):
@@ -231,21 +230,16 @@ def parse_scene(text, h_max=0.05):
 
 
 def _weld_coincident(net, tol=1e-9):
-    """Identify vertices with identical coordinates (exact junction sharing)."""
+    """Identify vertices with identical coordinates (exact junction sharing):
+    each takes the first vertex on its tol-grid point, and unused vertices
+    are dropped."""
     if len(net.vertices) == 0:
         return net
-    keys = {}
-    remap = np.arange(len(net.vertices))
-    for i, p in enumerate(net.vertices):
-        k = (round(p[0] / tol), round(p[1] / tol))
-        if k in keys:
-            remap[i] = keys[k]
-        else:
-            keys[k] = i
-    edges = [Edge(tuple(int(remap[v]) for v in e.chain), e.left, e.right)
-             for e in net.edges]
-    return compact(LabeledNetwork(net.domain, net.n_labels, net.vertices,
-                                  edges, net.scale))
+    _, rep, inverse = np.unique(np.round(net.vertices / tol), axis=0,
+                                return_index=True, return_inverse=True)
+    every, first, last = net.chain_entries()
+    return rebuild(net, net.vertices, rep[inverse.ravel()][every],
+                   last - first + 1, net.edge_labels())
 
 
 def emit_scene(net):
@@ -330,8 +324,7 @@ def voronoi_scene(n_seeds, seed, h_max=0.05):
 
     net = LabeledNetwork(torus(), n_seeds, np.asarray(verts, dtype=float),
                          edges, MeshScale())
-    net = weld_junctions(compact(net))
-    return remesh(net, h_max=h_max)
+    return remesh(weld_junctions(net), h_max=h_max)
 
 
 def honeycomb_scene(cols=3, rows=2, h_max=0.05):
@@ -408,7 +401,7 @@ def honeycomb_scene(cols=3, rows=2, h_max=0.05):
              for (i0, i1), (cl, cr) in zip(segs, faces)]
     net = LabeledNetwork(dom, 3, np.asarray(verts, dtype=float), edges,
                          MeshScale())
-    return remesh(compact(net), h_max=h_max)
+    return remesh(net, h_max=h_max)
 
 
 def _three_color(n, adjacent_pairs):

@@ -113,14 +113,12 @@ def build_varifold_view(net, omega=None):
                         h_sub=net.scale.h_max, v0=v0, v1=v1)
 
 
-def omega_mass(V: VarifoldView, omega=None, max_h=None):
+def omega_mass(V: VarifoldView):
     """Omega-weighted total mass |V|(Omega) by segment quadrature."""
-    if omega is None:
-        omega = V.omega
-    if omega.variant == "const":
+    if V.omega.variant == "const":
         return V.total_mass
-    x, w, _, _, _ = V.quad_nodes(max_h)
-    return float(np.sum(w * omega.value(x)))
+    x, w, _, _, _ = V.quad_nodes()
+    return float(np.sum(w * V.omega.value(x)))
 
 
 def first_variation(V: VarifoldView, g, max_h=None):

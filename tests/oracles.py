@@ -10,7 +10,12 @@ import numpy as np
 from scipy import integrate, optimize
 from scipy.spatial import cKDTree
 
-from grainflow.network import Edge, LabeledNetwork, compact, slab_sweep
+from grainflow.deformation import (C2_SMALLNESS, C3_AREA,
+                                   DeformationOutcome, DominanceAmbiguityError,
+                                   Move, NotADiskError, _golden_min,
+                                   identity_outcome, length_in_ball)
+from grainflow.network import (Edge, LabeledNetwork, region_loops, shoelace,
+                               slab_sweep)
 
 # normalization constants of the truncated Gaussian, frozen from a 30-digit
 # mpmath radial quadrature of the quintic-smoothstep profile
@@ -520,8 +525,8 @@ def weld_junctions_recursive(net):
                         continue
                     chain = tuple(keep if i == drop else i for i in f.chain)
                     edges.append(Edge(chain, f.left, f.right))
-                merged = compact(LabeledNetwork(net.domain, net.n_labels,
-                                                verts, edges, net.scale))
+                merged = compact_loop(LabeledNetwork(
+                    net.domain, net.n_labels, verts, edges, net.scale))
                 return weld_junctions_recursive(merged)
     return net
 
@@ -545,6 +550,290 @@ def used_vertices_loop(net):
     for e in net.edges:
         used[list(e.chain)] = True
     return np.nonzero(used)[0]
+
+
+# ---- reference loops for the network edits --------------------------------------
+
+
+def compact_loop(net):
+    """Drop unused vertices and reindex every chain tuple, the reference for
+    network.rebuild on a network's own chains."""
+    used = np.zeros(len(net.vertices), dtype=bool)
+    for e in net.edges:
+        used[list(e.chain)] = True
+    idx = np.cumsum(used) - 1
+    edges = [Edge(tuple(int(idx[i]) for i in e.chain), e.left, e.right)
+             for e in net.edges]
+    return LabeledNetwork(net.domain, net.n_labels, net.vertices[used], edges,
+                          net.scale)
+
+
+def remesh_loop(net, h_min=None, h_max=None):
+    """Remesh one chain and one segment at a time, the reference for
+    network.remesh."""
+    h_min = net.scale.h_min if h_min is None else h_min
+    h_max = net.scale.h_max if h_max is None else h_max
+    dom = net.domain
+    verts = [v for v in net.vertices]
+    new_edges = []
+    deg = vertex_degrees_loop(net)
+    for e in net.edges:
+        chain = list(e.chain)
+        closed = chain[0] == chain[-1]
+        # pass 1: merge runs of short segments by dropping interior vertices
+        out = [chain[0]]
+        for a, b in zip(chain[:-1], chain[1:]):
+            step = float(np.linalg.norm(dom.delta(net.vertices[out[-1]],
+                                                  net.vertices[b])))
+            seg = float(np.linalg.norm(dom.delta(net.vertices[a],
+                                                 net.vertices[b])))
+            if seg >= h_min or step >= h_min or b == chain[-1] or deg[b] != 2:
+                out.append(b)
+        chain = out
+        if closed and len(chain) < 4 and len(set(chain)) < 3:
+            chain = list(e.chain)  # not below a triangle
+        # pass 2: recursive midpoint split of long segments
+        final = [chain[0]]
+        for a, b in zip(chain[:-1], chain[1:]):
+            pa = np.asarray(verts[a], dtype=float)
+            step = dom.delta(pa, net.vertices[b])
+            length = float(np.linalg.norm(step))
+            pieces = 1
+            while length / pieces > h_max * (1.0 + 1e-12):
+                pieces *= 2
+            for k in range(1, pieces):
+                verts.append(dom.wrap(pa + step * (k / pieces)))
+                final.append(len(verts) - 1)
+            final.append(b)
+        new_edges.append(Edge(tuple(final), e.left, e.right))
+    return compact_loop(LabeledNetwork(net.domain, net.n_labels,
+                                       np.asarray(verts, dtype=float),
+                                       new_edges, net.scale))
+
+
+def weld_coincident_loop(net, tol=1e-9):
+    """Vertex identification by a dict of rounded coordinates, the reference
+    for scenes._weld_coincident."""
+    if len(net.vertices) == 0:
+        return net
+    keys = {}
+    remap = np.arange(len(net.vertices))
+    for i, p in enumerate(net.vertices):
+        k = (round(p[0] / tol), round(p[1] / tol))
+        if k in keys:
+            remap[i] = keys[k]
+        else:
+            keys[k] = i
+    edges = [Edge(tuple(int(remap[v]) for v in e.chain), e.left, e.right)
+             for e in net.edges]
+    return compact_loop(LabeledNetwork(net.domain, net.n_labels, net.vertices,
+                                       edges, net.scale))
+
+
+def _length_of_ids(net, edge_ids):
+    """Running sum of the given edges' segment lengths, in the given order."""
+    _, first, last = net.chain_entries()
+    seg = np.concatenate([np.arange(first[e] - e, last[e] - e)
+                          for e in edge_ids])
+    return float(np.cumsum(net.segment_lengths()[seg])[-1])
+
+
+def _without(net, edges, vertices=None):
+    return compact_loop(LabeledNetwork(
+        net.domain, net.n_labels,
+        net.vertices.copy() if vertices is None else vertices, edges,
+        net.scale))
+
+
+def remove_interior_boundary_loop(net, edge_index):
+    """Interior-boundary removal with the prune as sweeps over Edge tuples and
+    the removed edges in set order, the reference for
+    deformation.remove_interior_boundary."""
+    e = net.edges[edge_index]
+    if e.left != e.right:
+        raise ValueError("edge %d separates distinct labels" % edge_index)
+    removed = {edge_index}
+    affected = {e.chain[0], e.chain[-1]}
+    changed = True
+    while changed:
+        changed = False
+        deg = np.zeros(len(net.vertices), dtype=int)
+        for fi, f in enumerate(net.edges):
+            if fi not in removed:
+                deg[f.chain[0]] += 1
+                deg[f.chain[-1]] += 1
+        for fi, f in enumerate(net.edges):
+            if fi in removed or f.left != f.right or f.chain[0] == f.chain[-1]:
+                continue
+            for vi in (f.chain[0], f.chain[-1]):
+                if vi in affected and deg[vi] == 1:
+                    removed.add(fi)
+                    affected.update((f.chain[0], f.chain[-1]))
+                    changed = True
+                    break
+    pts = np.concatenate([net.vertices[list(net.edges[fi].chain)]
+                          for fi in removed])
+    rel = net.domain.delta(pts[0], pts)
+    center = net.domain.wrap(pts[0] + 0.5 * (rel.min(axis=0) + rel.max(axis=0)))
+    radius = float(np.max(np.linalg.norm(
+        net.domain.delta(center, pts), axis=1))) + 1e-9
+    removed_length = _length_of_ids(net, removed)
+    out = _without(net, [f for fi, f in enumerate(net.edges)
+                         if fi not in removed])
+    lb = length_in_ball(net, center, radius)
+    move = Move("interior-boundary-removal", center, radius,
+                displacement=2.0 * radius, length_before=lb,
+                length_after=lb - removed_length)
+    return DeformationOutcome(out, removed_length, {}, [move])
+
+
+def collapse_small_region_loop(net, label, j):
+    """Island collapse over Edge tuples, the reference for
+    deformation.collapse_small_region."""
+    bedges = [ei for ei, e in enumerate(net.edges)
+              if label in (e.left, e.right)]
+    if not bedges:
+        raise NotADiskError("label %d has no boundary" % label)
+    loops = region_loops(net, label)
+    if len(loops) != 1:
+        raise NotADiskError("label %d region is not a topological disk" % label)
+    surrounding = set()
+    for ei in bedges:
+        e = net.edges[ei]
+        other = e.right if e.left == label else e.left
+        if other != label:
+            surrounding.add(other)
+    if len(surrounding) != 1:
+        raise DominanceAmbiguityError(
+            "no single surrounding label for %d: %s" % (label, sorted(surrounding)))
+    i0 = surrounding.pop()
+    deg = vertex_degrees_loop(net)
+    if any(deg[vi] != 2 for ei in bedges for vi in net.edges[ei].chain):
+        return identity_outcome(net)
+    loop = loops[0]
+    rel = loop - loop[0]
+    center = net.domain.wrap(loop[0] + 0.5 * (rel.min(axis=0) + rel.max(axis=0)))
+    diam = float(np.max(np.linalg.norm(rel[:, None, :] - rel[None, :, :], axis=-1)))
+    R = 1.0 / (2.0 * j * j)
+    if diam > R:
+        return identity_outcome(net)
+    ell = _length_of_ids(net, bedges)
+    mass_ball = length_in_ball(net, center, R)
+    if ell > C2_SMALLNESS * R or mass_ball > ell + 1e-9:
+        return identity_outcome(net)
+    area = abs(shoelace(loop))
+    if area > 0.5 * np.pi * R * R:
+        raise DominanceAmbiguityError("region fills half its enclosing ball")
+    if area > C3_AREA * ell * ell + 1e-12:
+        return identity_outcome(net)
+    out = _without(net, [f for fi, f in enumerate(net.edges)
+                         if fi not in set(bedges)])
+    move = Move("small-region-collapse", center, R, displacement=diam,
+                length_before=mass_ball, length_after=mass_ball - ell)
+    return DeformationOutcome(out, ell, {label: -area, i0: area}, [move])
+
+
+def split_high_order_junction_loop(net, junction, j):
+    """Junction split that appends vertices one at a time and edits the arm
+    tuples, the reference for deformation.split_high_order_junction."""
+    ends = outgoing_ends_loop(net)[junction]
+    d = len(ends)
+    if d < 4:
+        raise ValueError("junction degree %d < 4" % d)
+    dirs = np.array([e[0] for e in ends], dtype=float)
+    slen = np.linalg.norm(dirs, axis=1)
+    units = dirs / slen[:, None]
+    v = net.vertices[junction]
+    rho = min(0.005 / j, 1.0 / (4.0 * j * j), 0.45 * float(np.min(slen)))
+    cuts = rho * units
+    best = None
+    if d == 4:
+        base = 4.0 * rho
+        for k in range(2):
+            iu = [k, (k + 1) % 4]
+            iw = [(k + 2) % 4, (k + 3) % 4]
+            bu = units[iu[0]] + units[iu[1]]
+            bw = units[iw[0]] + units[iw[1]]
+            nu, nw = np.linalg.norm(bu), np.linalg.norm(bw)
+            if nu < 1e-9 or nw < 1e-9:
+                continue
+            bu, bw = bu / nu, bw / nw
+
+            def local_len(t, bu=bu, bw=bw, iu=iu, iw=iw):
+                u = t * bu
+                w = t * bw
+                L = np.linalg.norm(u - w)
+                for i in iu:
+                    L += np.linalg.norm(cuts[i] - u)
+                for i in iw:
+                    L += np.linalg.norm(cuts[i] - w)
+                return L
+
+            t, L = _golden_min(local_len, 0.0, 0.49 * rho)
+            if L < base - 1e-12 and (best is None or L < best[0] - 1e-15):
+                best = (L, k, t, True)
+    else:
+        base = d * rho
+        for k in range(d):
+            iu = [k, (k + 1) % d]
+            bu = units[iu[0]] + units[iu[1]]
+            nu = np.linalg.norm(bu)
+            if nu < 1e-9:
+                continue
+            bu = bu / nu
+
+            def local_len(t, bu=bu, iu=iu):
+                u = t * bu
+                L = np.linalg.norm(u)
+                for i in range(d):
+                    L += np.linalg.norm(cuts[i] - (u if i in iu else 0.0))
+                return L
+
+            t, L = _golden_min(local_len, 0.0, 0.49 * rho)
+            if L < base - 1e-12 and (best is None or L < best[0] - 1e-15):
+                best = (L, k, t, False)
+    if best is None:
+        return identity_outcome(net)
+    L, k, t, symmetric = best
+    verts = [p for p in net.vertices]
+
+    def add_vertex(p):
+        verts.append(net.domain.wrap(np.asarray(p, dtype=float)))
+        return len(verts) - 1
+
+    cut_idx = [add_vertex(v + cuts[i]) for i in range(d)]
+    iu = [k, (k + 1) % d]
+    bu = units[iu[0]] + units[iu[1]]
+    bu /= np.linalg.norm(bu)
+    u_idx = add_vertex(v + t * bu)
+    if symmetric:
+        iw = [(k + 2) % 4, (k + 3) % 4]
+        bw = units[iw[0]] + units[iw[1]]
+        bw /= np.linalg.norm(bw)
+        w_idx = add_vertex(v + t * bw)
+        group_of = {i: (u_idx if i in iu else w_idx) for i in range(d)}
+        bridge = Edge((u_idx, w_idx), ends[iu[0]][2], ends[iu[1]][1])
+    else:
+        group_of = {i: (u_idx if i in iu else junction) for i in range(d)}
+        bridge = Edge((u_idx, junction), ends[iu[0]][2], ends[iu[1]][1])
+    edges = list(net.edges)
+    for i, (_, _, _, ei, fwd) in enumerate(ends):
+        nj = group_of[i]
+        ch = edges[ei].chain
+        if fwd:
+            edges[ei] = Edge((nj, cut_idx[i]) + ch[1:], edges[ei].left,
+                             edges[ei].right)
+        else:
+            edges[ei] = Edge(ch[:-1] + (cut_idx[i], nj), edges[ei].left,
+                             edges[ei].right)
+    edges.append(bridge)
+    out = _without(net, edges, np.asarray(verts, dtype=float))
+    radius = rho + t + 1e-9
+    lb = length_in_ball(net, v, radius)
+    move = Move("junction-split", np.asarray(v, dtype=float), radius,
+                displacement=t, length_before=lb,
+                length_after=lb - (d * rho - L))
+    return DeformationOutcome(out, d * rho - L, {}, [move])
 
 
 # ---- reference for the exact symmetric-difference overlay ----------------------

@@ -17,9 +17,12 @@ from grainflow.engine import run, schedule_params
 from grainflow.scenes import parse_scene, voronoi_scene
 from grainflow.weights import const_weight
 
-from oracles import (CROSS_DIAGONALS, STEINER_SQUARE, golden_min_scipy,
-                     kink_candidates_loop,
-                     label_boundary_lengths_loop, ngon_vertices)
+from oracles import (CROSS_DIAGONALS, STEINER_SQUARE,
+                     collapse_small_region_loop, golden_min_scipy,
+                     kink_candidates_loop, label_boundary_lengths_loop,
+                     ngon_vertices, remove_interior_boundary_loop,
+                     split_high_order_junction_loop)
+from test_network import assert_same_net
 
 CROSS = """labels 4
 cross at=(0,0) arms=1
@@ -303,8 +306,10 @@ def test_junction_split_golden_matches_scipy(d, data, j, periodic):
     net = star_net(angles, lengths, center, periodic)
     calls = []
     with mock.patch.object(deformation, "_golden_min", checked_golden(calls)):
-        split_high_order_junction(net, 0, j)
+        out = split_high_order_junction(net, 0, j)
     assert calls and all(calls)
+    # the arm and bridge edit against the tuple-editing reference
+    assert_same_outcome(out, split_high_order_junction_loop(net, 0, j))
 
 
 def test_grain_scene_splits_golden_matches_scipy():
@@ -329,3 +334,76 @@ def test_split_with_a_pairing_that_cannot_shorten():
     assert _golden_min(lambda t: t * t + 1.0, 0.0, 1.0) == (0.0, 1.0)
     assert _golden_min(lambda t: 2.0, 0.0, 1.0) == (0.0, 2.0)
     assert _golden_min(lambda t: -t, 0.0, 1.0) == (1.0, -1.0)
+
+
+# ---- the move edits against the tuple-editing references ------------------------
+
+
+def assert_same_outcome(got, want):
+    assert_same_net(got.network, want.network)
+    assert got.length_decrease_omega == want.length_decrease_omega
+    assert got.volume_changes == want.volume_changes
+    assert len(got.accepted_moves) == len(want.accepted_moves)
+    for g, w in zip(got.accepted_moves, want.accepted_moves):
+        assert g.kind == w.kind
+        assert np.array_equal(g.center, w.center)
+        assert (g.radius, g.displacement, g.length_before, g.length_after) == (
+            w.radius, w.displacement, w.length_before, w.length_after)
+
+
+def interior_path_net():
+    """A disk of label 1 whose boundary is seven edges, crossed by a path of
+    three same-label edges (ids 7, 8, 9): removing the first prunes the
+    other two, and Python's set {7, 8, 9} iterates as 8, 9, 7."""
+    th = 2.0 * np.pi * np.arange(14) / 14
+    ring = np.column_stack([np.cos(th), np.sin(th)])
+    path = np.array([[-0.4, 0.1], [-0.1, 0.13], [0.15, 0.07], [0.4, 0.1]])
+    edges = [Edge((2 * k, 2 * k + 1, (2 * k + 2) % 14), 1, 2) for k in range(7)]
+    edges += [Edge((14 + k, 15 + k), 1, 1) for k in range(3)]
+    return LabeledNetwork(plane((-2, -2, 2, 2)), 2, np.vstack([ring, path]),
+                          edges)
+
+
+@pytest.mark.parametrize("j", [1, 2, 4, 64, 256])
+def test_moves_match_tuple_edits(j):
+    net = cross_net()
+    assert_same_outcome(split_high_order_junction(net, find_junction(net), j),
+                        split_high_order_junction_loop(net, find_junction(net),
+                                                       j))
+    assert_same_outcome(remove_interior_boundary(interior_net(), 1),
+                        remove_interior_boundary_loop(interior_net(), 1))
+    for island in (island_scene(), island_scene(r=0.3, n=64)):
+        assert_same_outcome(collapse_small_region(island, 1, j),
+                            collapse_small_region_loop(island, 1, j))
+    # the greedy pass over each scene, with the reference moves swapped in
+    for scene in (cross_net(), island_scene(), interior_net(),
+                  parse_scene(SPIKED_SQUARE)):
+        got = lipschitz_step(scene, j)
+        with with_reference_moves():
+            assert_same_outcome(got, lipschitz_step(scene, j))
+
+
+def with_reference_moves():
+    return mock.patch.multiple(deformation, **{
+        f.__name__[:-len("_loop")]: f for f in (
+            remove_interior_boundary_loop, collapse_small_region_loop,
+            split_high_order_junction_loop)})
+
+
+def test_pruned_removal_sums_in_edge_order():
+    # the pruned path's length and enclosing ball now come from its edges in
+    # ascending order; the set order of the reference moves them by an ulp
+    net = interior_path_net()
+    got = remove_interior_boundary(net, 7)
+    want = remove_interior_boundary_loop(net, 7)
+    assert_same_net(got.network, want.network)
+    assert len(got.network.edges) == 7
+    g, w = got.accepted_moves[0], want.accepted_moves[0]
+    assert got.length_decrease_omega == pytest.approx(
+        want.length_decrease_omega, rel=4e-16, abs=0.0)
+    assert np.allclose(g.center, w.center, rtol=0.0, atol=2e-16)
+    assert g.radius == pytest.approx(w.radius, rel=4e-16, abs=0.0)
+    assert abs(g.length_after - w.length_after) <= 4e-16
+    step = lipschitz_step(net, 1)
+    with with_reference_moves():
+        assert_same_net(step.network, lipschitz_step(net, 1).network)

@@ -6,12 +6,14 @@ looks for scipy in sys.modules: a stray top-level import fails here instead
 of adding its load time to every run.
 """
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 SCRIPT = r"""
 import sys
@@ -57,3 +59,17 @@ def test_engine_and_diagnostics_load_no_scipy():
     proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_tracer_bindings_resolve():
+    # a traced benchmark run rebinds every (module, attribute) the tracer
+    # lists; a renamed or unimported function would only fail in that run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(ROOT, "perfbench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [(mod, attr) for mod, attr, _ in tracer.WRAPPED
+               if not callable(getattr(importlib.import_module(
+                   "grainflow." + mod), attr, None))]
+    assert not missing
+    assert callable(importlib.import_module("grainflow.kernels").Kernel.make)

@@ -5,15 +5,18 @@ from hypothesis import strategies as st
 
 from grainflow.domain import plane, torus
 from grainflow.network import (Edge, LabeledNetwork, MeshScale,
-                               _nearest_boundary_labels, _pairs_within, label_at_points,
-                               region_areas, region_loops, remesh, shoelace,
-                               validate_partition, weld_junctions)
-from grainflow.scenes import honeycomb_scene, parse_scene, voronoi_scene
+                               _nearest_boundary_labels, _pairs_within,
+                               label_at_points, region_areas, region_loops,
+                               rebuild, remesh, shoelace, validate_partition,
+                               weld_junctions)
+from grainflow.scenes import (_weld_coincident, honeycomb_scene, parse_scene,
+                              voronoi_scene)
 
-from oracles import (edge_lengths_loop, ngon_area, ngon_vertices,
+from oracles import (compact_loop, edge_lengths_loop, ngon_area, ngon_vertices,
                      outgoing_ends_loop, pairs_within_tree, region_loops_walk,
-                     segment_arrays_loop, validate_partition_loop,
-                     vertex_degrees_loop, weld_junctions_recursive)
+                     remesh_loop, segment_arrays_loop, validate_partition_loop,
+                     vertex_degrees_loop, weld_coincident_loop,
+                     weld_junctions_recursive)
 
 TWO_BANDS = """domain torus
 labels 2
@@ -269,6 +272,96 @@ def test_remesh_keeps_segments_of_length_h_max():
     assert len(remesh(net).segment_lengths()) == 40
 
 
+def assert_same_net(got, want):
+    """Equal vertex bits and chain tuples, and chain arrays (seeded by the
+    edit) equal to those a fresh network computes from its tuples."""
+    assert same_bits(got.vertices, want.vertices)
+    assert got.edges == want.edges
+    fresh = rebuilt(got)
+    for a, b in zip(got.chain_entries() + (got.edge_labels(),),
+                    fresh.chain_entries() + (fresh.edge_labels(),)):
+        assert same_bits(a, b)
+
+
+def jittered(net, amp, seed):
+    """net with every vertex moved by up to amp in each coordinate."""
+    noise = np.random.default_rng(seed).uniform(-amp, amp, net.vertices.shape)
+    return rebuilt(net, net.domain.wrap(net.vertices + noise))
+
+
+def small_loop(n, r):
+    """A closed n-gon of radius r on the torus, inside label 2."""
+    v = np.mod(0.5 + ngon_vertices(n, r), 1.0)
+    return LabeledNetwork(torus(), 2, v, [Edge(tuple(range(n)) + (0,), 2, 1)])
+
+
+def with_unused(net, k, seed):
+    """net with k unused vertices inserted among its own."""
+    rng = np.random.default_rng(seed)
+    slot = np.sort(rng.integers(0, len(net.vertices) + 1, size=k))
+    v = np.insert(net.vertices, slot, rng.random((k, 2)), axis=0)
+    idx = np.delete(np.arange(len(v)), slot + np.arange(k))
+    return rebuilt(net, v, [Edge(tuple(int(idx[i]) for i in e.chain), e.left,
+                                 e.right) for e in net.edges])
+
+
+# (h_min, h_max): no merging, the default, h_min above h_max / 2, and the
+# scenes' own fine mesh
+MESH_PAIRS = [(0.0, 0.05), (0.01, 0.05), (0.03, 0.05), (0.0, 0.0125),
+              (0.008, 0.0125)]
+
+_meshed = st.one_of(
+    st.builds(jittered,
+              st.builds(voronoi_scene, st.sampled_from([4, 8, 32]),
+                        st.integers(0, 10_000),
+                        st.sampled_from([0.05, 0.0125])),
+              st.sampled_from([0.0, 0.002, 0.004]), st.integers(0, 2**32 - 1)),
+    st.builds(jittered, st.sampled_from([honeycomb_scene(3, 2),
+                                         circle_net(n=512),
+                                         parse_scene(TWO_BANDS)]),
+              st.sampled_from([0.0, 0.002, 0.004]), st.integers(0, 2**32 - 1)),
+    st.builds(small_loop, st.integers(3, 12), st.floats(5e-4, 0.01)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(net=_meshed, mesh=st.sampled_from(MESH_PAIRS))
+@example(net=parse_scene(TWO_BANDS), mesh=(0.01, 0.05))  # at exactly h_max
+@example(net=small_loop(6, 0.002), mesh=(0.01, 0.05))  # kept as a hexagon
+@example(net=small_loop(12, 0.004), mesh=(0.01, 0.05))  # down to a square
+def test_remesh_and_compact_match_loops(net, mesh):
+    assert_same_net(remesh(net, *mesh), remesh_loop(net, *mesh))
+    padded = with_unused(net, 5, len(net.vertices))
+    for n in (net, padded):  # a rebuild on the network's own chains
+        every, first, last = n.chain_entries()
+        assert_same_net(rebuild(n, n.vertices, every, last - first + 1,
+                                n.edge_labels()), compact_loop(n))
+
+
+def test_remesh_keeps_a_small_loop_a_triangle_at_least():
+    for n in (3, 6, 12):
+        out = remesh(small_loop(n, 0.002), h_min=0.01)
+        assert len(out.edges[0].chain) >= 4
+
+
+_POOL = [(0.0, 0.0), (1e-10, 0.0), (-1e-10, 0.0), (0.5, 0.5),
+         (0.5 + 4e-10, 0.5), (0.5 + 6e-10, 0.5 - 1e-12), (0.25, 0.75),
+         (2.5e-9, 0.0), (0.75, 0.25)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(chains=st.lists(st.lists(st.sampled_from(_POOL), min_size=2,
+                                max_size=5), min_size=1, max_size=6))
+def test_weld_coincident_matches_loop(chains):
+    # each chain has its own copies of its points, as the scene builder
+    # makes them; points on one 1e-9 grid point are one vertex after the weld
+    verts = [p for c in chains for p in c]
+    stop = np.cumsum([len(c) for c in chains])
+    edges = [Edge(tuple(range(b - len(c), b)), 1, 2)
+             for c, b in zip(chains, stop.tolist())]
+    net = LabeledNetwork(plane(), 2, np.array(verts), edges)
+    assert_same_net(_weld_coincident(net), weld_coincident_loop(net))
+
+
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000),
        n=st.integers(min_value=4, max_value=10))
@@ -413,10 +506,7 @@ def test_weld_cascade_matches_recursive_weld(gaps):
     arm(0, -0.1, 0.05)
     arm(n - 1, 0.1, 0.05)
     net = LabeledNetwork(torus(), 2, np.array(verts), edges)
-    out = weld_junctions(net)
-    ref = weld_junctions_recursive(net)
-    assert np.array_equal(out.vertices, ref.vertices)
-    assert out.edges == ref.edges
+    assert_same_net(weld_junctions(net), weld_junctions_recursive(net))
 
 
 def same_bits(a, b):
