@@ -104,7 +104,7 @@ class Admissibility:
     reason: str = ""
 
 
-def verify_admissible(net_before, net_after, move: Move, j, omega=None):
+def verify_admissible(net_before, net_after, move: Move, j):
     """Accept or reject a localized move at level j (reject is data)."""
     if move.is_identity:
         return Admissibility(True)
@@ -499,7 +499,7 @@ def lipschitz_step(net: LabeledNetwork, j, omega: WeightFunction = None):
             return False
         if not _supports_disjoint(move, accepted, net.domain):
             return False
-        ok = verify_admissible(current, outcome.network, move, j, omega)
+        ok = verify_admissible(current, outcome.network, move, j)
         if not ok.accepted:
             return False
         if not validate_partition(outcome.network).ok:

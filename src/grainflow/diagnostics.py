@@ -19,10 +19,10 @@ from .varifold import build_varifold_view, weighted_first_variation_of_field
 OMEGA_1 = 2.0  # volume of the unit 1-ball
 
 
-def mass_weighted(net, phi, omega=None, max_h=None):
+def mass_weighted(net, phi, omega=None):
     """|V|(phi) by segment quadrature."""
     V = build_varifold_view(net, omega)
-    x, w, _, _, _ = V.quad_nodes(max_h)
+    x, w, _, _, _ = V.quad_nodes()
     if len(x) == 0:
         return 0.0
     return float(np.sum(w * phi.value(x)))

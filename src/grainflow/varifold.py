@@ -20,18 +20,28 @@ feed the smoothed mean curvature
     h_eps      = Phi_eps * h_tilde
 
 The two convolutions, and so h_tilde, are evaluated only at the cells of
-one lattice, and the outer convolution is a Riemann sum over those cells:
-spacing eps/4 in the plane, 1/m with m = ceil(4/eps) on the torus (cell
-indices mod m).  Its cells sit at global indices in S x S tiles; a tile is
-stored when the window [t S - k, t S + S + k), k = ceil(trunc_radius /
-spacing), of a tile t holding quadrature nodes touches it, so memory scales
-with the carrier length and h at a point depends only on the carrier near
-it.  `_separable` picks the one kernel that fills and reads the cells:
-products of 1D Gaussian rows, one window per tile by matrix products, where
-the cutoff profile is 1 on the window; otherwise direct sums of the kernel
+one lattice, and the outer convolution is a Riemann sum over those cells.
+`_separable` picks the one kernel that fills and reads the cells: products
+of 1D Gaussian rows, one window per tile by matrix products, where the
+cutoff profile is 1 on the window; otherwise direct sums of the kernel
 truncated at min(1, 6 eps) over each point's window of the (2k + 1)^2 cells
-around the cell holding it.  Beyond 6 eps the Gaussian factor is below e^-18, which bounds how far the two
-kernels differ.  The L^2 curvature proxy is
+around the cell holding it.  Beyond 6 eps the Gaussian factor is below
+e^-18, which bounds how far the two kernels differ.
+
+`_spacing` picks the lattice: spacing eps/2 in the plane, 1/m with
+m = ceil(2/eps) on the torus (cell indices mod m), where the kernel is
+separable on it; otherwise eps/4, or m = ceil(4/eps).  The separable sums
+converge spectrally in the spacing: at eps/2, h_eps is within 4e-6 of
+max|h| and the energy within 3e-7 (relative) of an eps/8 lattice on the
+scenes of `scripts/lattice_error.py` and the tests.  The direct sums keep
+eps/4: where the cutoff profile reaches into the window they converge only
+algebraically (a torus circle at eps 0.2 is 1e-3 from its eps/8 limit).
+The cells sit at global indices in S x S tiles, S the smallest power of
+two >= k and at least 16, k = ceil(trunc_radius / spacing); a tile is
+stored when the window [t S - k, t S + S + k) of a tile t holding
+quadrature nodes touches it, so memory scales with the carrier length and
+h at a point depends only on the carrier near it.  The L^2 curvature proxy
+is
 
     energy = int |Phi_eps * dV|^2 Omega / (Phi_eps * |V| + eps/Omega) dy.
 """
@@ -165,8 +175,6 @@ def _kernel_cap(V, eps):
 
 # ---- smoothing lattice --------------------------------------------------------
 
-_S = 32  # tile edge in lattice cells
-
 
 def _separable(kernel, sp):
     """Whether Phi_eps factors into 1D Gaussian rows on a lattice of spacing sp.
@@ -177,6 +185,21 @@ def _separable(kernel, sp):
     return np.sqrt(2.0) * (kernel.trunc_radius + 2.0 * sp) <= 0.5
 
 
+def _spacing(kernel, domain):
+    """(sp, m): the lattice spacing, and the period in cells (0 in the plane).
+
+    eps/2 (m = ceil(2/eps) on the torus) where the kernel is separable on
+    it, else eps/4 (m = ceil(4/eps)), where `_separable` still decides the
+    kernel.  The module docstring states the error budget.
+    """
+    for cells_per_eps in (2.0, 4.0):
+        m = int(np.ceil(cells_per_eps / kernel.eps)) if domain.periodic else 0
+        sp = 1.0 / m if m else kernel.eps / cells_per_eps
+        if _separable(kernel, sp):
+            break
+    return sp, m
+
+
 def _tile_key(tx, ty):
     return tx * np.int64(1 << 32) + ty
 
@@ -185,13 +208,21 @@ def _tile_key(tx, ty):
 class Lattice:
     """Cells of spacing sp at global indices, stored in S x S tiles.
 
-    On the torus the cell index is taken mod m; when S does not divide m the
-    last tile on each axis is partial and its phantom cells stay zero.
+    The tile edge S is the smallest power of two >= k, and at least 16: for
+    k >= 8 the (S + 2k)^2 cells of a node tile's window then stay within 4
+    times the kernel's (2k)^2 footprint, and the tiles stay large enough
+    that the per-tile loop costs little beside its matrix products.  On the
+    torus the cell index is taken mod m; when S does not divide m the last
+    tile on each axis is partial and its phantom cells stay zero.
     """
     sp: float
     k: int  # window radius in cells
     m: int  # period in cells on the torus, 0 in the plane
     keys: np.ndarray = None  # (T,) sorted keys of the stored tiles
+    S: int = field(init=False)  # tile edge in cells
+
+    def __post_init__(self):
+        self.S = max(16, 1 << (self.k - 1).bit_length())
 
     def axis(self, t):
         """Window cells [t S - k, t S + S + k) along one axis, for tiles t (G,).
@@ -200,15 +231,16 @@ class Lattice:
         crosses in order (G,A), how many of its cells fall in each (G,A, zero
         for padding) and each cell's offset inside its tile (G,W).
         """
-        u = t[:, None] * _S - self.k + np.arange(_S + 2 * self.k)
+        S = self.S
+        u = t[:, None] * S - self.k + np.arange(S + 2 * self.k)
         centre = (u + 0.5) * self.sp
         if self.m:
             u = np.mod(u, self.m)
-        tile = u // _S
+        tile = u // S
         run = np.cumsum(np.diff(tile, axis=1, prepend=tile[:, :1]) != 0, axis=1)
         hit = run[:, :, None] == np.arange(run.max(initial=0) + 1)
         return (centre, np.take_along_axis(tile, hit.argmax(axis=1), axis=1),
-                hit.sum(axis=1), u - tile * _S)
+                hit.sum(axis=1), u - tile * S)
 
     def cells(self):
         """Store index and centre of the real cells of the stored tiles.
@@ -217,14 +249,15 @@ class Lattice:
         """
         tx = (self.keys + (1 << 31)) >> 32  # inverts _tile_key
         ty = self.keys - (tx << 32)
-        o = np.arange(_S)
-        cx = tx[:, None, None] * _S + o[:, None]
-        cy = ty[:, None, None] * _S + o
-        pts = np.empty((len(tx), _S, _S, 2))
+        S = self.S
+        o = np.arange(S)
+        cx = tx[:, None, None] * S + o[:, None]
+        cy = ty[:, None, None] * S + o
+        pts = np.empty((len(tx), S, S, 2))
         pts[..., 0] = (cx + 0.5) * self.sp
         pts[..., 1] = (cy + 0.5) * self.sp
         pts = pts.reshape(-1, 2)
-        if self.m % _S == 0:
+        if self.m % S == 0:
             return slice(0, len(pts)), pts
         flat = np.flatnonzero((cx < self.m) & (cy < self.m))
         return flat, pts[flat]
@@ -234,7 +267,8 @@ class _Groups:
     """Points grouped by the tile holding them, with each tile's window."""
 
     def __init__(self, lat, pts):
-        t = np.floor(pts / lat.sp).astype(np.int64) // _S
+        self.S = lat.S
+        t = np.floor(pts / lat.sp).astype(np.int64) // lat.S
         key = _tile_key(t[:, 0], t[:, 1])
         self.order = np.argsort(key, kind="stable")
         ks = key[self.order]
@@ -260,7 +294,8 @@ class _Groups:
         _, _, nx, ox = self.x
         _, _, ny, oy = self.y
         tile = np.repeat(np.repeat(slots[g], nx[g], axis=0), ny[g], axis=1)
-        return tile * (_S * _S) + ox[g][:, None] * _S + oy[g]
+        S = self.S
+        return tile * (S * S) + ox[g][:, None] * S + oy[g]
 
 
 def _slots(keys, want):
@@ -295,12 +330,12 @@ def _windows(lat, pts, r):
         d = (u + 0.5) * lat.sp - pts[:, a, None]
         if lat.m:
             d = d - np.round(d)
-        return u // _S, u % _S, d
+        return u // lat.S, u % lat.S, d
 
     tx, ox, dx = axis(0)
     ty, oy, dy = axis(1)
     slot = _slots(lat.keys, _tile_key(tx[:, :, None], ty[:, None, :]))
-    idx = slot * (_S * _S) + (ox * _S)[:, :, None] + oy[:, None, :]
+    idx = slot * (lat.S * lat.S) + (ox * lat.S)[:, :, None] + oy[:, None, :]
     r2 = (dx * dx)[:, :, None] + (dy * dy)[:, None, :]
     return idx, dx, dy, r2, r2 <= r * r
 
@@ -323,7 +358,7 @@ def _accumulate_windows(lat, kernel, x, w, tau):
     Windows are node-major and np.add.at adds in order, so each cell sums
     its nodes in ascending order across chunks too.
     """
-    store = np.zeros((3, len(lat.keys) * _S * _S))
+    store = np.zeros((3, len(lat.keys) * lat.S * lat.S))
     r = kernel.trunc_radius
     for sel, (idx, dx, dy, r2, ok) in _window_chunks(lat, x, r):
         val, f = kernel.value_grad_r2(r2)
@@ -365,10 +400,10 @@ def _accumulate_blocks(lat, grp, xq, w, tau, eps, cconst):
     Each tile's nodes fill its window with two matrix products, added into
     the (3, tiles * S^2) store (rows: mass, fv_x, fv_y) by one np.add.at.
     """
-    n = len(lat.keys) * _S * _S
+    n = len(lat.keys) * lat.S * lat.S
     store = np.zeros(3 * n)
     slots = _slots(lat.keys, grp.keys)
-    W = _S + 2 * lat.k
+    W = lat.S + 2 * lat.k
     rows = n * np.arange(3)[:, None]
     for g, sel in grp:
         gx, gxd, gy, gyd = grp.rows(g, xq[sel], eps)
@@ -387,20 +422,19 @@ def _accumulate_blocks(lat, grp, xq, w, tau, eps, cconst):
 def smoothing_grid(V: VarifoldView, kernel: Kernel, omega: WeightFunction):
     """h_tilde on the cells of the stored lattice tiles (cached on the view).
 
-    The lattice has spacing eps/4 in the plane and 1/ceil(4/eps) on the torus.
-    A tile is stored when the window of a tile holding quadrature nodes
-    touches it, so memory scales with the carrier length.  `_separable`
-    decides which kernel fills the cells: separable Gaussian windows
-    scattered per node tile, or the direct truncated-kernel sums over each
-    node's window of cells within trunc_radius.
+    `_spacing` picks the spacing (eps/2 where the kernel is separable on
+    it, else eps/4) and `Lattice` its tile edge.  A tile is stored when the window of a tile holding quadrature
+    nodes touches it, so memory scales with the carrier length.
+    `_separable` decides which kernel fills the cells: separable Gaussian
+    windows scattered per node tile, or the direct truncated-kernel sums
+    over each node's window of cells within trunc_radius.
     """
     key = ("grid", kernel.eps, omega.variant)
     if key in V._cache:
         return V._cache[key]
     eps = kernel.eps
     x, w, tau, _, _ = V.quad_nodes(_kernel_cap(V, eps))
-    m = int(np.ceil(4.0 / eps)) if V.domain.periodic else 0
-    sp = 1.0 / m if m else eps / 4.0
+    sp, m = _spacing(kernel, V.domain)
     lat = Lattice(sp, int(np.ceil(kernel.trunc_radius / sp)), m)
     xq = np.mod(x, 1.0) if m else x
     grp = _Groups(lat, xq)
@@ -432,9 +466,9 @@ def _gather_blocks(sg, kernel, points, want_jacobian):
     q = np.mod(points, 1.0) if lat.m else points
     grp = _Groups(lat, q)
     slots = _slots(lat.keys, grp.keys)
-    H = np.zeros(((len(lat.keys) + 1) * _S * _S, 2))
+    H = np.zeros(((len(lat.keys) + 1) * lat.S * lat.S, 2))
     H[sg.flat] = sg.h_tilde
-    W = _S + 2 * lat.k
+    W = lat.S + 2 * lat.k
     scale = kernel.c_eps / (2.0 * np.pi * eps * eps) * sg.cell
     h = np.zeros((len(q), 2))
     J = np.zeros((len(q), 2, 2)) if want_jacobian else None
@@ -458,7 +492,7 @@ def _gather_windows(sg, kernel, points, want_jacobian):
     J = None unless requested; J[:, a, b] = d h_b / d x_a.
     """
     lat = sg.lattice
-    H = np.zeros((2, (len(lat.keys) + 1) * _S * _S))
+    H = np.zeros((2, (len(lat.keys) + 1) * lat.S * lat.S))
     H[:, sg.flat] = sg.h_tilde.T
     h = np.zeros((len(points), 2))
     J = np.zeros((len(points), 2, 2)) if want_jacobian else None

@@ -219,13 +219,13 @@ def test_stationary_configurations(scene, omega):
 # 7. deformation catalog
 
 
-def test_deformation_catalog(omega):
+def test_deformation_catalog():
     from oracles import CROSS_DIAGONALS, STEINER_SQUARE
     net = parse_scene(CROSS_SCENE, h_max=0.05)
     junction = int(np.nonzero(net.vertex_degrees() >= 4)[0][0])
     out = split_high_order_junction(net, junction, 2)
     move = out.accepted_moves[0]
-    assert verify_admissible(net, out.network, move, 2, omega).accepted
+    assert verify_admissible(net, out.network, move, 2).accepted
     deg = out.network.vertex_degrees()
     assert np.max(deg) == 3 and np.sum(deg == 3) == 2
     la = length_in_ball(out.network, move.center, move.radius)
@@ -247,7 +247,7 @@ def test_deformation_catalog(omega):
     for lab in before:
         assert after[lab] == pytest.approx(before[lab], abs=1e-12)
     assert verify_admissible(inet, iout.network,
-                             iout.accepted_moves[0], 1, omega).accepted
+                             iout.accepted_moves[0], 1).accepted
 
     # tiny-grain collapse: full local mass removal, bounded area transfer
     island = parse_scene("domain plane bbox=(-1,-1,1,1)\nlabels 2\n"
@@ -255,7 +255,7 @@ def test_deformation_catalog(omega):
     ell = island.total_length()
     cout = collapse_small_region(island, 1, 2)
     cmove = cout.accepted_moves[0]
-    assert verify_admissible(island, cout.network, cmove, 2, omega).accepted
+    assert verify_admissible(island, cout.network, cmove, 2).accepted
     assert length_in_ball(cout.network, cmove.center, cmove.radius) \
         <= 0.5 * length_in_ball(island, cmove.center, cmove.radius)
     assert abs(cout.volume_changes[1]) <= 1.0 * ell ** 2
@@ -264,17 +264,15 @@ def test_deformation_catalog(omega):
     j = 4
     bad_disp = Move("local-relaxation", np.zeros(2), 0.1,
                     displacement=2.0 / (j * j))
-    assert "displacement" in verify_admissible(net, net, bad_disp, j,
-                                               omega).reason
+    assert "displacement" in verify_admissible(net, net, bad_disp, j).reason
     b0 = parse_scene(TWO_LINES_SCENE)
     b1 = parse_scene("domain torus\nlabels 2\nline y=0.8 left=1 right=2\n"
                      "line y=0.75 left=2 right=1\n")
     bad_vol = Move("local-relaxation", np.array([0.5, 0.5]), 0.2,
                    displacement=0.05)
-    assert "volume" in verify_admissible(b0, b1, bad_vol, 3, omega).reason
+    assert "volume" in verify_admissible(b0, b1, bad_vol, 3).reason
     no_gain = Move("local-relaxation", np.zeros(2), 0.1, displacement=0.0)
-    assert "decrease" in verify_admissible(net, net.copy(), no_gain, j,
-                                           omega).reason
+    assert "decrease" in verify_admissible(net, net.copy(), no_gain, j).reason
 
 
 # 8. per-step mass inequalities along the grain run

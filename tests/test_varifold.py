@@ -130,21 +130,23 @@ def test_separable_and_direct_paths_agree(monkeypatch):
     net = parse_scene(CIRCLE, h_max=0.0125)
     targets = net.vertices[:32]
     V1 = build_varifold_view(net, om)
-    assert vf._separable(k, k.eps / 4.0)
+    sg = smoothing_grid(V1, k, om)
+    assert sg.separable and sg.lattice.sp == k.eps / 2.0
     h_sep, e_sep = curvature_and_energy(V1, k, om, targets)
-    # force the direct truncated-kernel sums on the same lattice
+    # force the direct truncated-kernel sums, which run on the eps/4 lattice
     monkeypatch.setattr(vf, "_separable", lambda *a: False)
     V2 = build_varifold_view(net, om)
     h_direct = h_eps_at(V2, k, om, targets)
     e_direct = l2_energy(V2, k, om)
-    # residual is the ball-vs-square truncation shape difference
+    # residual: the ball-vs-square truncation shape and the two lattices
     assert np.max(np.abs(h_sep - h_direct)) < 1e-5
     assert e_sep == pytest.approx(e_direct, rel=1e-5)
 
 
 def test_torus_separable_matches_direct_oracle(monkeypatch):
-    # eps small enough that a full 4/eps x 4/eps torus lattice would hold
-    # 4.2e6 cells; the tiles near the carrier hold a fraction of them
+    # eps small enough that a full torus lattice would hold 1.0e6 cells at
+    # the separable spacing 1/ceil(2/eps), and 4.2e6 at the direct path's
+    # 1/ceil(4/eps); the tiles near the carrier hold a fraction of them
     eps = 0.00196
     om = const_weight()
     k = Kernel.make(eps)
@@ -153,8 +155,9 @@ labels 2
 circle center=(0.5,0.5) r=0.2 n=512 inside=1 outside=2
 """
     net = parse_scene(scene, h_max=0.01)
-    assert vf._separable(k, 1.0 / np.ceil(4.0 / eps))
     V = build_varifold_view(net, om)
+    sg = smoothing_grid(V, k, om)
+    assert sg.separable and sg.lattice.sp == 1.0 / np.ceil(2.0 / eps)
     targets = net.vertices[:24]
     h_sep, e_sep = curvature_and_energy(V, k, om, targets)
     monkeypatch.setattr(vf, "_separable", lambda *a: False)
@@ -165,6 +168,45 @@ circle center=(0.5,0.5) r=0.2 n=512 inside=1 outside=2
     assert np.max(np.abs(h_sep - h_ref)) < 1e-4 * np.max(np.abs(h_ref))
     # the curvature of the radius-0.2 circle is resolved at this eps
     assert np.linalg.norm(h_sep, axis=1).max() == pytest.approx(5.0, rel=0.02)
+
+
+def _eighth_spacing(kernel, domain):
+    m = int(np.ceil(8.0 / kernel.eps)) if domain.periodic else 0
+    return (1.0 / m if m else kernel.eps / 8.0), m
+
+
+def test_lattice_spacing_error_budget(monkeypatch):
+    # The error bound the chosen lattice spacing is accepted on: h_eps at the
+    # vertices and the energy against a lattice of spacing eps/8, on a plane
+    # circle and an 8-grain torus at eps 0.05.  Measured: h 5.1e-8, energy
+    # 1.9e-9 on the circle; 2.3e-7 and 2.2e-8 on the torus (seeds 1, 2, 3
+    # and 7 of the same family reach at most 3.7e-6 and 2.9e-7)
+    eps = 0.05
+    om = const_weight()
+    k = Kernel.make(eps)
+    for net in (parse_scene(CIRCLE, h_max=0.0125),
+                voronoi_scene(8, 42, h_max=0.0125)):
+        V = build_varifold_view(net, om)
+        sg = smoothing_grid(V, k, om)
+        m = int(np.ceil(2.0 / eps)) if net.domain.periodic else 0
+        assert sg.separable and sg.lattice.m == m
+        assert sg.lattice.sp == (1.0 / m if m else eps / 2.0)
+        assert sg.lattice.S == 16
+        h, energy = curvature_and_energy(V, k, om, net.vertices)
+        with monkeypatch.context() as mp:
+            mp.setattr(vf, "_spacing", _eighth_spacing)
+            V_ref = build_varifold_view(net, om)
+            h_ref, e_ref = curvature_and_energy(V_ref, k, om, net.vertices)
+            assert smoothing_grid(V_ref, k, om).lattice.sp < sg.lattice.sp / 3.0
+        assert np.max(np.abs(h - h_ref)) <= 1e-5 * np.max(np.abs(h_ref))
+        assert energy == pytest.approx(e_ref, rel=1e-6)
+    # the kernel does not factor at eps 0.2 on the torus: the direct sums
+    # keep spacing 1/ceil(4/eps) and 32-cell tiles
+    eps = 0.2
+    sg = smoothing_grid(build_varifold_view(parse_scene(TORUS_LINE), om),
+                        Kernel.make(eps), om)
+    assert not sg.separable
+    assert sg.lattice.sp == 1.0 / np.ceil(4.0 / eps) and sg.lattice.S == 32
 
 
 def test_separable_jacobian_matches_direct_sum():
