@@ -27,7 +27,11 @@ PSI_HESS_BOUND = 23.2
 
 def psi(r):
     r = np.asarray(r, dtype=float)
-    u = np.clip(2.0 * r - 1.0, 0.0, 1.0)
+    return _psi_u(np.clip(2.0 * r - 1.0, 0.0, 1.0))
+
+
+def _psi_u(u):
+    """psi at u = 2r - 1 clipped to [0, 1]."""
     return 1.0 - u**3 * (10.0 - 15.0 * u + 6.0 * u * u)
 
 
@@ -35,7 +39,11 @@ def psi_prime(r):
     r = np.asarray(r, dtype=float)
     u = 2.0 * r - 1.0
     inside = (u > 0.0) & (u < 1.0)
-    u = np.where(inside, u, 0.0)
+    return _psi_prime_u(np.where(inside, u, 0.0), inside)
+
+
+def _psi_prime_u(u, inside):
+    """psi' at u = 2r - 1, zero off the mask `inside` of 0 < u < 1."""
     return np.where(inside, -2.0 * 30.0 * u * u * (1.0 - u) ** 2, 0.0)
 
 
@@ -107,30 +115,33 @@ class Kernel:
 
     def value_r2(self, r2):
         """Kernel value at squared radii r2."""
-        return self._radial(r2)[3]
+        return self._radial(r2)[4]
 
     def value_grad_r2(self, r2):
         """Kernel value and gradient factor at squared radii r2.
 
         The gradient at a displacement d with |d|^2 = r2 is factor * d.
         """
-        r, far, ghat, val = self._radial(r2)
+        far, rf, u, ghat, val = self._radial(r2)
         # grad = c psi'(r) d/r ghat - val * d / eps^2 ; psi' vanishes at r=0
-        radial = np.zeros_like(r)
-        radial[far] = psi_prime(r[far]) / r[far]
+        radial = np.zeros_like(ghat)
+        radial[far] = _psi_prime_u(u, u < 1.0) / rf
         return val, self.c_eps * radial * ghat - val / (self.eps * self.eps)
 
     def _radial(self, r2):
-        """(r, r > 1/2, PhiHat, value) at squared radii r2.
+        """(r > 1/2, r there, u = min(2r - 1, 1) there, PhiHat, value) at
+        squared radii r2.
 
         psi is 1 and psi' is 0 on r <= 1/2, so the quintic is evaluated
-        only beyond.
+        only beyond, where 2r - 1 > 0 and the clip to [0, 1] is a minimum.
         """
         r2 = np.asarray(r2, dtype=float)
         r = np.sqrt(r2)
         e2 = self.eps * self.eps
         ghat = np.exp(-r2 / (2.0 * e2)) / (2.0 * np.pi * e2)
         far = r > 0.5
+        rf = r[far]
+        u = np.minimum(2.0 * rf - 1.0, 1.0)
         p = np.ones_like(r)
-        p[far] = psi(r[far])
-        return r, far, ghat, self.c_eps * p * ghat
+        p[far] = _psi_u(u)
+        return far, rf, u, ghat, self.c_eps * p * ghat

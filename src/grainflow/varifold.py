@@ -44,6 +44,14 @@ h at a point depends only on the carrier near it.  The L^2 curvature proxy
 is
 
     energy = int |Phi_eps * dV|^2 Omega / (Phi_eps * |V| + eps/Omega) dy.
+
+The direct sums run over chunks of at most 8,192 window cells (64 KiB per
+float temporary).  Larger temporaries crossed glibc's 128 KiB threshold, so
+each free handed their pages back to the OS and the next chunk faulted them
+in again: 65,536-cell chunks took about 1,900 minor faults per two-line
+torus step at eps 0.2.  8,192-cell chunks take none in most processes; where
+a chunk's temporaries are freed together at the top of the heap they can
+still add up past the threshold (about 170-570 faults per step then).
 """
 
 from dataclasses import dataclass, field
@@ -162,9 +170,11 @@ def weighted_first_variation_of_field(V: VarifoldView, phi, h_at_nodes, nodes_w,
 
 # ---- kernel-weighted accumulation --------------------------------------------
 
-# window cells per chunk of the direct lattice sums: chunks of 64k keep the
-# temporaries in cache (1M-cell chunks ran 1.5-2x slower)
-_WINDOW_CHUNK = 1 << 16
+# window cells per chunk of the direct lattice sums: every float temporary
+# stays near 64 KiB, under glibc's 128 KiB mmap and trim threshold, so a freed
+# temporary is not by itself handed back to the OS and faulted in again (the
+# module docstring gives the fault counts)
+_WINDOW_CHUNK = 1 << 13
 
 
 def _kernel_cap(V, eps):
@@ -242,13 +252,17 @@ class Lattice:
         return (centre, np.take_along_axis(tile, hit.argmax(axis=1), axis=1),
                 hit.sum(axis=1), u - tile * S)
 
+    def tiles(self):
+        """(tx, ty) of the stored tiles; inverts _tile_key."""
+        tx = (self.keys + (1 << 31)) >> 32
+        return tx, self.keys - (tx << 32)
+
     def cells(self):
         """Store index and centre of the real cells of the stored tiles.
 
         The index is a slice over the whole store unless phantom cells exist.
         """
-        tx = (self.keys + (1 << 31)) >> 32  # inverts _tile_key
-        ty = self.keys - (tx << 32)
+        tx, ty = self.tiles()
         S = self.S
         o = np.arange(S)
         cx = tx[:, None, None] * S + o[:, None]
@@ -304,63 +318,84 @@ def _slots(keys, want):
     return np.where(keys[s] == want, s, len(keys))
 
 
+def _store_indexer(lat):
+    """Function of cell indices ux (..., Wx) and uy (..., Wy) that gives
+    their flat store index (..., Wx, Wy); the zero tile where a tile is not
+    stored.
+
+    Tile slots come from a dense table over the stored tiles' bounding box
+    and a one-tile border of zero tiles, so each cell costs one take, not
+    a search over the tile keys.
+    """
+    S = lat.S
+    tx, ty = lat.tiles()
+    x0, y0 = (tx.min() - 1, ty.min() - 1) if len(tx) else (0, 0)
+    X, Y = tx.max(initial=x0) - x0 + 2, ty.max(initial=y0) - y0 + 2
+    table = np.full((X, Y), len(lat.keys))
+    table[tx - x0, ty - y0] = np.arange(len(lat.keys))
+    table = table.ravel() * (S * S)
+
+    def index(ux, uy):
+        bx = np.clip(ux // S - x0, 0, X - 1) * Y
+        by = np.clip(uy // S - y0, 0, Y - 1)
+        base = table.take(bx[..., :, None] + by[..., None, :])
+        return base + (ux % S * S)[..., :, None] + (uy % S)[..., None, :]
+    return index
+
+
 def _windows(lat, pts, r):
-    """Each point's window of lattice cells, for the direct kernel sums.
+    """Each point's window of lattice cells, in chunks, for the direct sums.
 
     The window is the cell holding the point and k cells either side of it
-    on each axis (mod m on the torus; every cell once, ascending, when
-    2k + 1 > m), so it holds every cell within r <= k sp.  Returns the store
-    index of each window cell (N, Wx, Wy; the zero tile where its tile is not
-    stored), the per-axis displacements cell - point (N, Wx) and (N, Wy),
-    minimum image on the torus, their r^2 (N, Wx, Wy), and the mask of cells
-    within r.  Points are node-major, so a scatter keeps each cell's sum in
-    point order.
+    on each axis (mod m on the torus), so it holds every cell within
+    r <= k sp.  When 2k + 1 > m it is the whole period instead, every cell
+    once, ascending: all points share it, so its store index is built once.
+    Yields, per chunk of at most _WINDOW_CHUNK window cells: the chunk's
+    slice of the points; the store index of each window cell (n, Wx, Wy),
+    or (Wx, Wy) for the shared window (the zero tile where its tile is not
+    stored); the per-axis displacements cell - point (n, Wx) and (n, Wy),
+    minimum image on the torus; their r^2 (n, Wx, Wy); and the mask of cells
+    within r.  Chunks and points are node-major, so a scatter keeps each
+    cell's sum in point order.
     """
-    q = np.mod(pts, 1.0) if lat.m else pts
-    c = np.floor(q / lat.sp).astype(np.int64)
-    full = lat.m and 2 * lat.k + 1 > lat.m
-
-    def axis(a):
-        if full:
-            u = np.broadcast_to(np.arange(lat.m), (len(pts), lat.m))
-        else:
-            u = c[:, a, None] + np.arange(-lat.k, lat.k + 1)
-            if lat.m:
-                u = np.mod(u, lat.m)
-        d = (u + 0.5) * lat.sp - pts[:, a, None]
-        if lat.m:
-            d = d - np.round(d)
-        return u // lat.S, u % lat.S, d
-
-    tx, ox, dx = axis(0)
-    ty, oy, dy = axis(1)
-    slot = _slots(lat.keys, _tile_key(tx[:, :, None], ty[:, None, :]))
-    idx = slot * (lat.S * lat.S) + (ox * lat.S)[:, :, None] + oy[:, None, :]
-    r2 = (dx * dx)[:, :, None] + (dy * dy)[:, None, :]
-    return idx, dx, dy, r2, r2 <= r * r
-
-
-def _window_chunks(lat, pts, r):
-    """(slice, _windows) over chunks of at most _WINDOW_CHUNK window cells."""
-    w = lat.m if lat.m and 2 * lat.k + 1 > lat.m else 2 * lat.k + 1
-    step = max(1, _WINDOW_CHUNK // (w * w))
+    k, m = lat.k, lat.m
+    store_index = _store_indexer(lat)
+    shared = m and 2 * k + 1 > m
+    if shared:
+        u = np.arange(m)
+        idx = store_index(u, u)
+    side = m if shared else 2 * k + 1
+    step = max(1, _WINDOW_CHUNK // (side * side))
     for lo in range(0, len(pts), step):
-        sel = slice(lo, lo + step)
-        yield sel, _windows(lat, pts[sel], r)
+        p = pts[lo:lo + step]
+        if not shared:
+            c = np.floor((np.mod(p, 1.0) if m else p) / lat.sp).astype(np.int64)
+            u = c[:, :, None] + np.arange(-k, k + 1)  # (n, 2, W)
+            if m:
+                u = np.mod(u, m)
+            idx = store_index(u[:, 0], u[:, 1])
+        d = (u + 0.5) * lat.sp - p[:, :, None]
+        if m:
+            d = d - np.round(d)
+        dx, dy = d[:, 0], d[:, 1]
+        r2 = (dx * dx)[:, :, None] + (dy * dy)[:, None, :]
+        yield slice(lo, lo + step), idx, dx, dy, r2, r2 <= r * r
 
 
 def _accumulate_windows(lat, kernel, x, w, tau):
     """Phi*|V| and Phi*dV on the stored tiles by direct sums over node windows.
 
     Every node adds its kernel value and projected gradient into the cells of
-    its window within trunc_radius, by np.add.at into the (3, tiles * S^2)
-    store (rows: mass, fv_x, fv_y); the stored tiles hold every node window.
-    Windows are node-major and np.add.at adds in order, so each cell sums
-    its nodes in ascending order across chunks too.
+    its window within trunc_radius, in the (3, tiles * S^2) store (rows:
+    mass, fv_x, fv_y); the stored tiles hold every node window.  Per-node
+    windows go in by np.add.at; the shared whole-period window sums each
+    chunk by an axis-0 reduce seeded with the running sums and is written
+    into the store once.  Both add row after row, so each cell sums its
+    nodes in ascending order across chunks.
     """
     store = np.zeros((3, len(lat.keys) * lat.S * lat.S))
-    r = kernel.trunc_radius
-    for sel, (idx, dx, dy, r2, ok) in _window_chunks(lat, x, r):
+    acc = None  # running sums of the shared window, (3, 1, Wx, Wy)
+    for sel, idx, dx, dy, r2, ok in _windows(lat, x, kernel.trunc_radius):
         val, f = kernel.value_grad_r2(r2)
         val = np.where(ok, val, 0.0)
         f = np.where(ok, f, 0.0)
@@ -369,9 +404,18 @@ def _accumulate_windows(lat, kernel, x, w, tau):
         proj = tx * (f * -dx[:, :, None]) + ty * (f * -dy[:, None, :])
         wq = w[sel, None, None]
         wp = wq * proj
-        idx = idx.ravel()
-        for row, v in zip(store, (wq * val, wp * tx, wp * ty)):
-            np.add.at(row, idx, v.ravel())
+        parts = (wq * val, wp * tx, wp * ty)
+        if idx.ndim == 2:
+            if acc is None:
+                acc = np.zeros((3, 1) + idx.shape)
+            for a, v in zip(acc, parts):
+                a[0] = np.add.reduce(np.concatenate((a, v)), axis=0)
+        else:
+            flat = idx.ravel()
+            for row, v in zip(store, parts):
+                np.add.at(row, flat, v.ravel())
+    if acc is not None:
+        store[:, idx.ravel()] = acc.reshape(3, -1)
     return store
 
 
@@ -497,8 +541,8 @@ def _gather_windows(sg, kernel, points, want_jacobian):
     h = np.zeros((len(points), 2))
     J = np.zeros((len(points), 2, 2)) if want_jacobian else None
     r = kernel.trunc_radius
-    for sel, (idx, dx, dy, r2, ok) in _window_chunks(lat, points, r):
-        ti = np.repeat(np.arange(len(idx)), idx[0].size)
+    for sel, idx, dx, dy, r2, ok in _windows(lat, points, r):
+        ti = np.repeat(np.arange(len(r2)), r2[0].size)
         if want_jacobian:
             val, f = kernel.value_grad_r2(r2)
             # d/dx Phi(g - x) = -(grad Phi)(g - x)
@@ -510,12 +554,12 @@ def _gather_windows(sg, kernel, points, want_jacobian):
         for b in range(2):
             hb = H[b][idx]
             h[sel, b] = np.bincount(ti, weights=(val * hb * sg.cell).ravel(),
-                                    minlength=len(idx))
+                                    minlength=len(r2))
             if want_jacobian:
                 for a in range(2):
                     J[sel, a, b] = np.bincount(
                         ti, weights=(grad[a] * hb * sg.cell).ravel(),
-                        minlength=len(idx))
+                        minlength=len(r2))
     return h, J
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -248,6 +250,18 @@ circle center=(0.6,0.6) r=0.3 n=160 inside=1 outside=3
     assert np.max(np.abs(h1 - h2)) <= 1e-13 * np.max(np.abs(h1))
 
 
+@pytest.mark.parametrize("domain", [plane(), torus()])
+@pytest.mark.parametrize("eps", [0.05, 0.1])
+def test_empty_view_has_zero_curvature(domain, eps):
+    # no stored tiles on either kernel path (separable at 0.05, direct at 0.1)
+    z = np.zeros((0, 2))
+    V = VarifoldView(domain, z, z, z, np.zeros(0), const_weight())
+    om, k = const_weight(), Kernel.make(eps)
+    h, energy = curvature_and_energy(V, k, om, np.full((3, 2), 0.5))
+    assert smoothing_grid(V, k, om).separable == (eps == 0.05)
+    assert energy == 0.0 and np.array_equal(h, np.zeros((3, 2)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 12), st.floats(0.01, 0.3), st.data())
 def test_quad_nodes_match_segment_loop(n, max_h, data):
@@ -323,7 +337,8 @@ def _closed_view(domain, verts):
 @st.composite
 def direct_scenes(draw):
     """(view, eps, gather targets) on the direct-kernel lattice path."""
-    kind = draw(st.sampled_from(["ngon", "torus-circle", "torus-lines", "empty"]))
+    kind = draw(st.sampled_from(["ngon", "torus-circle", "torus-period",
+                                 "torus-lines", "empty"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "ngon":
         eps = draw(st.sampled_from([0.1, 0.3, 0.5]))
@@ -338,6 +353,15 @@ def direct_scenes(draw):
         eps = 0.07
         c = rng.uniform(0.0, 1.0, 2) if rng.random() < 0.5 else rng.choice(
             [0.02, 0.98], 2)
+        V = _closed_view(torus(), c + ngon_vertices(draw(st.integers(3, 40)),
+                                                    rng.uniform(0.05, 0.3)))
+        off = rng.uniform(-0.5, 1.5, (24, 2))
+    elif kind == "torus-period":
+        # m = 40, k = 24: every window is the whole period, shared by all
+        # points, across two tiles per axis with phantom cells in the second;
+        # n-gons across the seam
+        eps = 0.1
+        c = rng.choice([0.02, 0.98], 2)
         V = _closed_view(torus(), c + ngon_vertices(draw(st.integers(3, 40)),
                                                     rng.uniform(0.05, 0.3)))
         off = rng.uniform(-0.5, 1.5, (24, 2))
@@ -372,6 +396,36 @@ def test_chunked_windows_match_tree_pairs():
     sg = _check_windows_against_tree(V, 0.1, x)
     w = 2 * sg.lattice.k + 1
     assert len(x) * w * w > 4 * vf._WINDOW_CHUNK
+    # the shared whole-period window of the two-line torus: the seeded
+    # reduction carries each cell's sum across chunk boundaries
+    V = build_varifold_view(parse_scene(TORUS_LINE, h_max=0.05), const_weight())
+    x = V.quad_nodes(0.05)[0]
+    sg = _check_windows_against_tree(V, 0.2, x)
+    chunks = list(vf._windows(sg.lattice, x, Kernel.make(0.2).trunc_radius))
+    assert chunks[0][1].ndim == 2 and len(chunks) >= 4
+
+
+@pytest.mark.parametrize("scene, h_max, eps, bound_mib", [
+    # before the window chunks shrank to 8,192 cells: 4.71 MiB; after: 0.98
+    (TORUS_LINE, 0.05, 0.2, 2.0),
+    # before: 8.08 MiB; after: 3.16
+    (CIRCLE.replace("n=256", "n=512"), 0.0125, 0.1, 5.0),
+])
+def test_direct_curvature_peak_memory(scene, h_max, eps, bound_mib):
+    # the direct sums hold no temporary larger than a window chunk, so one
+    # warm call's traced peak stays near the size of the lattice store
+    net = parse_scene(scene, h_max=h_max)
+    om, k = const_weight(), Kernel.make(eps)
+    curvature_and_energy(build_varifold_view(net, om), k, om, net.vertices)
+    V = build_varifold_view(net, om)
+    tracemalloc.start()
+    try:
+        curvature_and_energy(V, k, om, net.vertices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not smoothing_grid(V, k, om).separable
+    assert peak <= bound_mib * 2**20
 
 
 @settings(max_examples=20, deadline=None)
