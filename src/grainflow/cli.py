@@ -11,8 +11,8 @@ import json
 import os
 import sys
 
-from .engine import (PAPER, PRACTICAL, InfeasibleParametersError, run,
-                     schedule_params)
+from .engine import (EXTINCTION_THRESHOLD, PAPER, PRACTICAL,
+                     InfeasibleParametersError, run, schedule_params)
 from .frames import emit_frame, report_record
 from .kernels import Kernel
 from .network import validate_partition
@@ -137,7 +137,7 @@ def cli_main(argv=None):
         names = {s.strip() for s in args.diagnostics.split(",") if s.strip()}
         if names:
             _run_diagnostics(names, trace, args.out)
-        if trace.reports and trace.reports[-1].mass_post < sched.extinction_threshold:
+        if trace.reports and trace.reports[-1].mass_post < EXTINCTION_THRESHOLD:
             print("extinction at t=%.6g" % trace.times[-1])
         return 0
     except Exception as exc:  # noqa: BLE001 - runtime failures map to exit 2

@@ -437,8 +437,7 @@ def relax_kink(net: LabeledNetwork, vertex, prev, nxt, j):
         disp = cap
     verts = net.vertices.copy()
     verts[vertex] = net.domain.wrap(v + target)
-    out = LabeledNetwork(net.domain, net.n_labels, verts, list(net.edges),
-                         net.scale)
+    out = net.with_vertices(verts)
     radius = max(np.linalg.norm(a), np.linalg.norm(b)) + disp + 1e-9
     lb = length_in_ball(net, v, radius)
     la = length_in_ball(out, v, radius)

@@ -59,7 +59,7 @@ def brakke_residual(trace, phi, t1, t2, omega=None):
     for rep, (net_l, vids, h) in zip(trace.reports, trace.step_data):
         if t1 + 1e-15 < rep.t <= t2 + 1e-15:
             x, w, hn = _interp_h(net_l, vids, h, omega)
-            dv = weighted_first_variation_of_field(None, phi, hn, w, x)
+            dv = weighted_first_variation_of_field(phi, hn, w, x)
             total += _step_dt(trace, rep) * dv
     return float((m2 - m1) - total)
 

@@ -32,6 +32,8 @@ from .weights import WeightFunction, const_weight
 
 PAPER = "paper"
 PRACTICAL = "practical"
+KAPPA = 0.05  # practical mode: dt <= KAPPA eps^2
+EXTINCTION_THRESHOLD = 1e-3  # run stops once the weighted mass is below it
 
 
 class InfeasibleParametersError(ValueError):
@@ -52,13 +54,10 @@ class Schedule:
     p: int = None  # dyadic exponent, faithful mode only
     steps: int = 0
     remesh_cadence: int = 10
-    extinction_threshold: float = 1e-3
-    kappa: float = 0.05
 
 
-def schedule_params(mode, j, eps=None, dt=None, steps=0, kappa=0.05,
-                    h_max=0.05, c1=0.0, remesh_cadence=10,
-                    extinction_threshold=1e-3):
+def schedule_params(mode, j, eps=None, dt=None, steps=0, h_max=0.05, c1=0.0,
+                    remesh_cadence=10):
     c_a = 23  # 3n + 20 for curves (n = 1)
     if mode == PAPER:
         if j < max(1.0, c1):
@@ -81,16 +80,16 @@ def schedule_params(mode, j, eps=None, dt=None, steps=0, kappa=0.05,
             raise InfeasibleParametersError("no representable dyadic dt in "
                                             "(eps^c_a/2, eps^c_a]")
         return Schedule(PAPER, int(j), float(eps), c_a, dt, p, steps,
-                        remesh_cadence, extinction_threshold, kappa)
+                        remesh_cadence)
     if mode == PRACTICAL:
         if eps is None or dt is None:
             raise InfeasibleParametersError("practical mode needs eps and dt")
-        if not dt <= kappa * eps * eps:
+        if not dt <= KAPPA * eps * eps:
             raise InfeasibleParametersError("dt <= kappa*eps^2 violated")
         if not eps >= 4.0 * h_max:
             raise InfeasibleParametersError("eps >= 4*h_max violated")
         return Schedule(PRACTICAL, int(j), float(eps), c_a, float(dt), None,
-                        steps, remesh_cadence, extinction_threshold, kappa)
+                        steps, remesh_cadence)
     raise InfeasibleParametersError("unknown mode %r" % (mode,))
 
 
@@ -136,8 +135,7 @@ def curvature_step(net, kernel, omega, dt):
             "dt*max|h| = %g exceeds h_min/2 = %g" % (dt * hmax, net.scale.h_min / 2))
     verts = net.vertices.copy()
     verts[vids] = net.domain.wrap(verts[vids] + dt * h)
-    out = LabeledNetwork(net.domain, net.n_labels, verts, list(net.edges),
-                         net.scale)
+    out = net.with_vertices(verts)
     mass_before = omega_mass(V)
     mass_after = omega_mass(build_varifold_view(out, omega))
     # (L' - L)/dt + energy/4 <= 3 eps^(1/4) + tol, tol with a roundoff budget
@@ -231,11 +229,14 @@ def run(net: LabeledNetwork, sched: Schedule, kernel=None, omega=None,
         omega = const_weight()
     if kernel is None:
         kernel = Kernel.make(sched.eps)
-    state = FlowState(net.copy(), kernel, omega)
+    state = FlowState(net, kernel, omega)
     trace = RunTrace()
 
     def record():
         trace.times.append(state.t)
+        # the copy shares the network's arrays but not its derived caches
+        # (segments, lengths, junction ring), which the step fills: kept on
+        # every frame, they would hold several times the frame's own memory
         trace.frames.append(state.net.copy())
         if sinks is not None:
             sinks.on_frame(state.net, state.t)
@@ -249,9 +250,9 @@ def run(net: LabeledNetwork, sched: Schedule, kernel=None, omega=None,
                 (frag["pre_step_net"], frag["vertex_ids"], frag["h_vertices"]))
         if sinks is not None:
             sinks.on_report(report)
-        if (l + 1) % frame_every == 0 or report.mass_post < sched.extinction_threshold:
+        if (l + 1) % frame_every == 0 or report.mass_post < EXTINCTION_THRESHOLD:
             record()
-        if report.mass_post < sched.extinction_threshold:
+        if report.mass_post < EXTINCTION_THRESHOLD:
             break
     if trace.times[-1] != state.t:
         record()

@@ -14,7 +14,7 @@ of the next.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -46,41 +46,58 @@ class MeshScale:
         return self.h_min / 4.0
 
 
-@dataclass
 class LabeledNetwork:
-    """An immutable value: `vertices` is made read-only on construction and
-    nothing edits `edges` in place, so the derived arrays (chain entries,
-    segment arrays) are computed once per network, cached and returned
-    read-only.  To change a network, build a new one."""
-    domain: Domain
-    n_labels: int
-    vertices: np.ndarray  # (V, 2)
-    edges: list  # of Edge
-    scale: MeshScale = field(default_factory=MeshScale)
+    """An immutable value.  It stores its chains once, as read-only arrays:
+    every chain's vertex indices laid end to end, each chain's first and
+    last position in that array, and the (E, 2) labels.  `vertices` is made
+    read-only too, so the derived arrays (segment arrays, lengths, the
+    junction ring) are computed once per network, cached and returned
+    read-only.  `edges`, the chains as Edge tuples, is a view built on first
+    read, for scene output and tests.  To change a network, build a new one.
+    """
 
-    def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=float)
-        self.vertices.flags.writeable = False
+    def __init__(self, domain: Domain, n_labels: int, vertices, edges,
+                 scale: MeshScale = MeshScale()):
+        n = np.array([len(e.chain) for e in edges], dtype=int)
+        last = np.cumsum(n) - 1
+        self._hold(domain, n_labels, vertices,
+                   (np.fromiter(itertools.chain.from_iterable(
+                       e.chain for e in edges), dtype=int), last - n + 1, last),
+                   np.array([(e.left, e.right) for e in edges],
+                            dtype=int).reshape(-1, 2), scale)
+
+    def _hold(self, domain, n_labels, vertices, chains, labels, scale):
+        self.domain, self.n_labels, self.scale = domain, n_labels, scale
+        self.vertices = _read_only(np.asarray(vertices, dtype=float))[0]
+        self._chains = _read_only(*chains)
+        self._labels = _read_only(labels)[0]
+        return self
+
+    @classmethod
+    def _of_chains(cls, domain, n_labels, vertices, chains, labels, scale):
+        """A network holding the given chain and label arrays, not copied."""
+        return cls.__new__(cls)._hold(domain, n_labels, vertices, chains,
+                                      labels, scale)
+
+    def with_vertices(self, vertices):
+        """The same chains on new vertex coordinates.  The chain and label
+        arrays are shared with this network; the derived caches are not."""
+        return LabeledNetwork._of_chains(self.domain, self.n_labels, vertices,
+                                         self._chains, self._labels, self.scale)
 
     def copy(self):
-        return LabeledNetwork(self.domain, self.n_labels,
-                              self.vertices.copy(), list(self.edges), self.scale)
+        return self.with_vertices(self.vertices)
+
+    @cached_property
+    def edges(self):
+        """The chains as Edge tuples, in edge order (built on first read)."""
+        every, first, last = self._chains
+        flat = every.tolist()
+        return [Edge(tuple(flat[a:b + 1]), left, right)
+                for a, b, (left, right) in zip(first.tolist(), last.tolist(),
+                                               self._labels.tolist())]
 
     # ---- derived arrays, cached -------------------------------------------
-
-    @cached_property
-    def _chains(self):
-        every = np.fromiter(
-            itertools.chain.from_iterable(e.chain for e in self.edges), dtype=int)
-        n = np.array([len(e.chain) for e in self.edges], dtype=int)
-        last = np.cumsum(n) - 1
-        return _read_only(every, last - n + 1, last)
-
-    @cached_property
-    def _labels(self):
-        """(E, 2) array of each edge's (left, right)."""
-        return _read_only(np.array([(e.left, e.right) for e in self.edges],
-                                   dtype=int).reshape(-1, 2))[0]
 
     @cached_property
     def _segments(self):
@@ -100,7 +117,7 @@ class LabeledNetwork:
         # and bincount adds each chain's segments in order, as a running sum
         d = self._segments[5]
         seg = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
-        edge = np.bincount(self._segments[2], seg, minlength=len(self.edges))
+        edge = np.bincount(self._segments[2], seg, minlength=len(self._labels))
         return _read_only(seg, edge.astype(float, copy=False))
 
     @cached_property
@@ -533,7 +550,6 @@ def slab_sweep(net: LabeledNetwork):
 class RegionAreaTable:
     areas: dict  # label -> area (clipped to bbox in plane mode)
     residual: float
-    infinite: set  # labels with unbounded regions (plane mode)
 
 
 def region_areas(net: LabeledNetwork):
@@ -543,15 +559,15 @@ def region_areas(net: LabeledNetwork):
     consecutive crossings in y bound a constant-label trapezoid.  On the torus
     the crossing order is cyclic in y mod 1 and the slabs tile [0,1).  In the
     plane the strips below the lowest and above the highest crossing belong to
-    unbounded regions; they are clipped to the bounding box and their labels
-    flagged infinite.  A torus slab without crossings is one region, labelled
-    as SlabSweep.labels locates it.  Plane slabs without crossings, and gaps
-    whose two labels disagree, go to `residual`.
+    unbounded regions; they are clipped to the bounding box.  A torus slab
+    without crossings is one region, labelled as SlabSweep.labels locates it.
+    Plane slabs without crossings, and gaps whose two labels disagree, go to
+    `residual`.
     """
     dom = net.domain
     sw = slab_sweep(net)
     if len(sw.a) == 0 and net.n_labels == 1:
-        return RegionAreaTable({1: dom.area}, 0.0, set())
+        return RegionAreaTable({1: dom.area}, 0.0)
     w = np.diff(sw.xs)
     first, stop = sw.start[:-1], sw.start[1:]
     ks = np.repeat(np.arange(len(w)), stop - first)  # slab of each crossing
@@ -564,7 +580,6 @@ def region_areas(net: LabeledNetwork):
     j = np.arange(len(ks)) if dom.periodic else np.nonzero(~last)[0]
     lab = np.where(up[j] == dn[nxt[j]], up[j], 0)  # label 0: residual
     empty = np.nonzero(stop == first)[0]
-    infinite = set()
     # terms (slab, position in slab, label, area) in the per-slab loop order
     if dom.periodic:
         empty = empty[w[empty] > 1e-15]  # only slabs that carry area
@@ -579,9 +594,6 @@ def region_areas(net: LabeledNetwork):
                  (full, 1, up[top], w[full] * np.maximum(0.0, y_hi - y[top])),
                  (ks[j], 2 + rank[j], lab, w[ks[j]] * gap[j]),
                  (empty, 0, 0, w[empty] * (y_hi - y_lo))]
-        live = w[full] > 1e-15
-        infinite = {int(v) for v in np.concatenate([dn[bot[live]],
-                                                    up[top[live]]])}
     slab, pos, lab, val = (np.concatenate(
         [np.broadcast_to(term[i], np.shape(term[0])) for term in terms])
         for i in range(4))
@@ -593,7 +605,7 @@ def region_areas(net: LabeledNetwork):
                        minlength=net.n_labels + 1)
     return RegionAreaTable({lab: float(sums[lab])
                             for lab in range(1, net.n_labels + 1)},
-                           float(sums[0]), infinite)
+                           float(sums[0]))
 
 
 # ---- face tracing -------------------------------------------------------------
@@ -609,14 +621,12 @@ def region_loops(net: LabeledNetwork, label):
     displacements from its first vertex.
     """
     _, _, _, cw = net._ring
-    _, first, last = net.chain_entries()
+    every, first, last = net.chain_entries()
     d = net._segments[5]
-    pending = set()
-    for ei, e in enumerate(net.edges):
-        if e.left == label:
-            pending.add((ei, True))
-        if e.right == label:
-            pending.add((ei, False))
+    # edge by edge, the left end before the right: the insertion order
+    # decides where each loop starts
+    pending = {(k >> 1, not k & 1)
+               for k in np.flatnonzero(net.edge_labels().ravel() == label).tolist()}
 
     loops = []
     while pending:
@@ -632,7 +642,7 @@ def region_loops(net: LabeledNetwork, label):
             if cur == key:
                 break
         ei, forward = key
-        start = net.edges[ei].chain[0 if forward else -1]
+        start = every[first[ei] if forward else last[ei]]
         loop = np.cumsum(np.concatenate([net.vertices[start][None]] + steps),
                          axis=0)
         if len(loop) >= 3:
@@ -696,23 +706,15 @@ def rebuild(net: LabeledNetwork, vertices, entries, counts, labels):
 
     `entries` is every chain's vertex indices laid end to end, `counts` each
     chain's length and `labels` each chain's (left, right).  Vertices no chain
-    uses are dropped and the rest renumbered in index order.  The chain arrays
-    seed the new network's cache, so it never walks its own Edge tuples.
+    uses are dropped and the rest renumbered in index order.
     """
-    labels = np.array(labels, dtype=int).reshape(-1, 2)
     used = np.zeros(len(vertices), dtype=bool)
     used[entries] = True
-    every = (np.cumsum(used) - 1)[entries]
     stop = np.cumsum(counts)
-    flat = every.tolist()
-    edges = [Edge(tuple(flat[a:b]), left, right) for a, b, (left, right)
-             in zip((stop - counts).tolist(), stop.tolist(), labels.tolist())]
-    out = LabeledNetwork(net.domain, net.n_labels,
-                         np.asarray(vertices, dtype=float)[used], edges,
-                         net.scale)
-    out.__dict__["_chains"] = _read_only(every, stop - counts, stop - 1)
-    out.__dict__["_labels"] = _read_only(labels)[0]
-    return out
+    return LabeledNetwork._of_chains(
+        net.domain, net.n_labels, np.asarray(vertices, dtype=float)[used],
+        ((np.cumsum(used) - 1)[entries], stop - counts, stop - 1),
+        np.array(labels, dtype=int).reshape(-1, 2), net.scale)
 
 
 def drop_edges(net: LabeledNetwork, ids):

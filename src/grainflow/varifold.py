@@ -159,8 +159,7 @@ def weighted_first_variation(V: VarifoldView, phi, g, max_h=None):
     return float(term1 + term2)
 
 
-def weighted_first_variation_of_field(V: VarifoldView, phi, h_at_nodes, nodes_w,
-                                      nodes_x):
+def weighted_first_variation_of_field(phi, h_at_nodes, nodes_w, nodes_x):
     """d(V, phi)(h) = int (-phi |h|^2 + h . grad phi) d|V| for a sampled field h."""
     h2 = np.sum(h_at_nodes * h_at_nodes, axis=-1)
     val = -phi.value(nodes_x) * h2 + np.einsum(
@@ -237,9 +236,9 @@ class Lattice:
     def axis(self, t):
         """Window cells [t S - k, t S + S + k) along one axis, for tiles t (G,).
 
-        Returns the unwrapped cell centres (G,W), the stored tiles the window
-        crosses in order (G,A), how many of its cells fall in each (G,A, zero
-        for padding) and each cell's offset inside its tile (G,W).
+        Returns the unwrapped cell centres (G,W), the cell indices (mod m on
+        the torus, (G,W)) and the tiles the window crosses in order (G,A,
+        padded by repeating its first).
         """
         S = self.S
         u = t[:, None] * S - self.k + np.arange(S + 2 * self.k)
@@ -249,8 +248,7 @@ class Lattice:
         tile = u // S
         run = np.cumsum(np.diff(tile, axis=1, prepend=tile[:, :1]) != 0, axis=1)
         hit = run[:, :, None] == np.arange(run.max(initial=0) + 1)
-        return (centre, np.take_along_axis(tile, hit.argmax(axis=1), axis=1),
-                hit.sum(axis=1), u - tile * S)
+        return centre, u, np.take_along_axis(tile, hit.argmax(axis=1), axis=1)
 
     def tiles(self):
         """(tx, ty) of the stored tiles; inverts _tile_key."""
@@ -281,7 +279,6 @@ class _Groups:
     """Points grouped by the tile holding them, with each tile's window."""
 
     def __init__(self, lat, pts):
-        self.S = lat.S
         t = np.floor(pts / lat.sp).astype(np.int64) // lat.S
         key = _tile_key(t[:, 0], t[:, 1])
         self.order = np.argsort(key, kind="stable")
@@ -291,7 +288,7 @@ class _Groups:
         self.x = lat.axis(tiles[:, 0])
         self.y = lat.axis(tiles[:, 1])
         # keys of every tile the windows touch: (G, Ax, Ay)
-        self.keys = _tile_key(self.x[1][:, :, None], self.y[1][:, None, :])
+        self.keys = _tile_key(self.x[2][:, :, None], self.y[2][:, None, :])
 
     def __iter__(self):
         ends = np.append(self.starts[1:], len(self.order))
@@ -302,20 +299,6 @@ class _Groups:
         """Gaussian rows of window g at points (n,2): (gx, gxd, gy, gyd)."""
         return (*_gauss_axis(eps, self.x[0][g] - pts[:, 0:1]),
                 *_gauss_axis(eps, self.y[0][g] - pts[:, 1:2]))
-
-    def cells(self, g, slots):
-        """Flat store index of every cell of window g, shape (W, W)."""
-        _, _, nx, ox = self.x
-        _, _, ny, oy = self.y
-        tile = np.repeat(np.repeat(slots[g], nx[g], axis=0), ny[g], axis=1)
-        S = self.S
-        return tile * (S * S) + ox[g][:, None] * S + oy[g]
-
-
-def _slots(keys, want):
-    """Store slot of each wanted tile key; len(keys) (a zero tile) if absent."""
-    s = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-    return np.where(keys[s] == want, s, len(keys))
 
 
 def _store_indexer(lat):
@@ -446,7 +429,7 @@ def _accumulate_blocks(lat, grp, xq, w, tau, eps, cconst):
     """
     n = len(lat.keys) * lat.S * lat.S
     store = np.zeros(3 * n)
-    slots = _slots(lat.keys, grp.keys)
+    idx = _store_indexer(lat)(grp.x[1], grp.y[1])  # (G, W, W)
     W = lat.S + 2 * lat.k
     rows = n * np.arange(3)[:, None]
     for g, sel in grp:
@@ -459,7 +442,7 @@ def _accumulate_blocks(lat, grp, xq, w, tau, eps, cconst):
         b = np.concatenate([wq * tx * ty * gx, wq * ty * ty * gx], axis=1).T @ gyd
         a[W:] += b
         # one flat index array keeps np.add.at on its fast path
-        np.add.at(store, (grp.cells(g, slots).ravel() + rows).ravel(), a.ravel())
+        np.add.at(store, (idx[g].ravel() + rows).ravel(), a.ravel())
     return store.reshape(3, n)
 
 
@@ -509,7 +492,7 @@ def _gather_blocks(sg, kernel, points, want_jacobian):
     eps = kernel.eps
     q = np.mod(points, 1.0) if lat.m else points
     grp = _Groups(lat, q)
-    slots = _slots(lat.keys, grp.keys)
+    idx = _store_indexer(lat)(grp.x[1], grp.y[1])  # (G, W, W)
     H = np.zeros(((len(lat.keys) + 1) * lat.S * lat.S, 2))
     H[sg.flat] = sg.h_tilde
     W = lat.S + 2 * lat.k
@@ -518,7 +501,7 @@ def _gather_blocks(sg, kernel, points, want_jacobian):
     J = np.zeros((len(q), 2, 2)) if want_jacobian else None
     for g, sel in grp:
         gx, gxd, gy, gyd = grp.rows(g, q[sel], eps)
-        block = H[grp.cells(g, slots)].reshape(W, 2 * W)
+        block = H[idx[g]].reshape(W, 2 * W)
         rows = (gx @ block).reshape(-1, W, 2)
         h[sel] = np.einsum("njc,nj->nc", rows, gy) * scale
         if want_jacobian:

@@ -7,7 +7,7 @@ from grainflow.engine import (PAPER, PRACTICAL, FlowState,
                               InfeasibleParametersError, StepTooLargeError,
                               advance, curvature_step, run, schedule_params)
 from grainflow.kernels import Kernel
-from grainflow.network import region_areas, validate_partition
+from grainflow.network import Edge, region_areas, validate_partition
 from grainflow.scenes import parse_scene, voronoi_scene
 from grainflow.weights import const_weight
 
@@ -126,3 +126,27 @@ def test_grain_runs_stay_valid(n, seed):
     assert validate_partition(last).ok
     tab = region_areas(last)
     assert abs(sum(tab.areas.values()) + tab.residual - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("make, eps, dt, h_max", [
+    (small_circle, 0.2, 0.002, 0.05),
+    (lambda: parse_scene(TWO_BANDS), 0.2, 0.002, 0.05),
+    (lambda: voronoi_scene(8, 42, h_max=0.025), 0.1, 5e-4, 0.025)],
+    ids=["circle", "two-bands", "voronoi-8"])
+def test_run_builds_no_edge_tuples(monkeypatch, make, eps, dt, h_max):
+    # every step edits and moves chain arrays, remesh and welds included;
+    # Edge tuples are only the scene-facing view
+    net = make()
+    built = []
+    init = Edge.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Edge, "__init__", counted)
+    sched = schedule_params(PRACTICAL, 2, eps=eps, dt=dt, steps=10,
+                            h_max=h_max)
+    trace = run(net, sched, frame_every=5)
+    assert trace.reports[-1].step == sched.remesh_cadence  # remesh ran
+    assert built == []

@@ -273,8 +273,8 @@ def test_remesh_keeps_segments_of_length_h_max():
 
 
 def assert_same_net(got, want):
-    """Equal vertex bits and chain tuples, and chain arrays (seeded by the
-    edit) equal to those a fresh network computes from its tuples."""
+    """Equal vertex bits and chain tuples, and chain arrays (built by the
+    edit) equal to those the constructor computes from the Edge view."""
     assert same_bits(got.vertices, want.vertices)
     assert got.edges == want.edges
     fresh = rebuilt(got)
@@ -557,10 +557,18 @@ def test_network_is_immutable_with_own_caches():
         with pytest.raises(ValueError):
             arr[0] = arr[1]
     moved = rebuilt(net, np.mod(net.vertices + 0.01, 1.0))
-    for other in (net.copy(), rebuilt(net), moved):
+    shifted = net.with_vertices(np.mod(net.vertices + 0.01, 1.0))
+    for other in (net.copy(), shifted):  # chains shared, caches not
+        assert all(a is b for a, b in zip(
+            other.chain_entries() + (other.edge_labels(),),
+            net.chain_entries() + (net.edge_labels(),)))
+    for other in (net.copy(), rebuilt(net), moved, shifted):
         assert other.segment_arrays()[0] is not p0
         assert_segments_match_loops(other)
     assert not np.array_equal(moved.segment_arrays()[0], p0)
+    assert same_bits(shifted.segment_arrays()[0], moved.segment_arrays()[0])
+    with pytest.raises(ValueError):
+        shifted.vertices[0, 0] = 0.5
 
 
 def annulus(periodic, center, r_out, r_in):
@@ -594,3 +602,23 @@ def test_region_loops_match_walk(net):
         if len(got) == 1 and shoelace(got[0]) > 0.0:
             assert abs(shoelace(got[0]) - areas[label]) <= 1e-12 * areas[label]
     assert same_bits(net.edge_lengths(), edge_lengths_loop(net))
+
+
+@settings(max_examples=10, deadline=None)
+@given(net=st.one_of(
+    st.builds(voronoi_scene, st.integers(3, 16), st.integers(0, 10_000)),
+    st.builds(annulus, st.booleans(), _center, st.floats(0.2, 0.35),
+              st.floats(0.05, 0.12)),
+    st.builds(parse_scene, st.just(TWO_BANDS))))
+def test_chain_storage_is_one_form(net):
+    # rebuild, the moved network and the constructor from the Edge view hold
+    # the same chain arrays and labels, and give back the same Edge view
+    every, first, last = net.chain_entries()
+    want = net.chain_entries() + (net.edge_labels(),)
+    for other in (rebuild(net, net.vertices, every, last - first + 1,
+                          net.edge_labels()),
+                  net.with_vertices(net.domain.wrap(net.vertices + 0.003)),
+                  rebuilt(net)):
+        got = other.chain_entries() + (other.edge_labels(),)
+        assert all(same_bits(g, w) for g, w in zip(got, want))
+        assert other.edges == net.edges
