@@ -49,9 +49,11 @@ The direct sums run over chunks of at most 8,192 window cells (64 KiB per
 float temporary).  Larger temporaries crossed glibc's 128 KiB threshold, so
 each free handed their pages back to the OS and the next chunk faulted them
 in again: 65,536-cell chunks took about 1,900 minor faults per two-line
-torus step at eps 0.2.  8,192-cell chunks take none in most processes; where
-a chunk's temporaries are freed together at the top of the heap they can
-still add up past the threshold (about 170-570 faults per step then).
+torus step at eps 0.2.  The kernel and the chunk arithmetic work in place,
+so a chunk frees four such temporaries (r^2, the value, the gradient
+factor, one product) where it freed about ten; freed together at the top
+of the heap they can still add up past the threshold, about 100-130 faults
+per two-line torus step (170-590 with ten), by heap layout.
 """
 
 from dataclasses import dataclass, field
@@ -332,14 +334,16 @@ def _windows(lat, pts, r):
     The window is the cell holding the point and k cells either side of it
     on each axis (mod m on the torus), so it holds every cell within
     r <= k sp.  When 2k + 1 > m it is the whole period instead, every cell
-    once, ascending: all points share it, so its store index is built once.
-    Yields, per chunk of at most _WINDOW_CHUNK window cells: the chunk's
-    slice of the points; the store index of each window cell (n, Wx, Wy),
-    or (Wx, Wy) for the shared window (the zero tile where its tile is not
-    stored); the per-axis displacements cell - point (n, Wx) and (n, Wy),
-    minimum image on the torus; their r^2 (n, Wx, Wy); and the mask of cells
-    within r.  Chunks and points are node-major, so a scatter keeps each
-    cell's sum in point order.
+    once, ascending: all points share it, so its store index and cell
+    centres are built once.  Yields, per chunk of at most _WINDOW_CHUNK
+    window cells: the chunk's slice of the points; the store index of each
+    window cell (n, Wx, Wy), or (Wx, Wy) for the shared window (the zero
+    tile where its tile is not stored); the per-axis displacements
+    cell - point (n, Wx) and (n, Wy), minimum image on the torus; their r^2
+    (n, Wx, Wy); and the mask of cells within r, or None where every cell
+    is: on the shared window when r^2 >= 1/2, since minimum-image
+    displacements are at most 1/2 per axis.  Chunks and points are
+    node-major, so a scatter keeps each cell's sum in point order.
     """
     k, m = lat.k, lat.m
     store_index = _store_indexer(lat)
@@ -347,6 +351,8 @@ def _windows(lat, pts, r):
     if shared:
         u = np.arange(m)
         idx = store_index(u, u)
+        centre = (u + 0.5) * lat.sp
+    every = shared and r * r >= 0.5
     side = m if shared else 2 * k + 1
     step = max(1, _WINDOW_CHUNK // (side * side))
     for lo in range(0, len(pts), step):
@@ -357,12 +363,13 @@ def _windows(lat, pts, r):
             if m:
                 u = np.mod(u, m)
             idx = store_index(u[:, 0], u[:, 1])
-        d = (u + 0.5) * lat.sp - p[:, :, None]
+            centre = (u + 0.5) * lat.sp
+        d = centre - p[:, :, None]
         if m:
             d = d - np.round(d)
         dx, dy = d[:, 0], d[:, 1]
         r2 = (dx * dx)[:, :, None] + (dy * dy)[:, None, :]
-        yield slice(lo, lo + step), idx, dx, dy, r2, r2 <= r * r
+        yield slice(lo, lo + step), idx, dx, dy, r2, None if every else r2 <= r * r
 
 
 def _accumulate_windows(lat, kernel, x, w, tau):
@@ -371,34 +378,48 @@ def _accumulate_windows(lat, kernel, x, w, tau):
     Every node adds its kernel value and projected gradient into the cells of
     its window within trunc_radius, in the (3, tiles * S^2) store (rows:
     mass, fv_x, fv_y); the stored tiles hold every node window.  Per-node
-    windows go in by np.add.at; the shared whole-period window sums each
-    chunk by an axis-0 reduce seeded with the running sums and is written
-    into the store once.  Both add row after row, so each cell sums its
-    nodes in ascending order across chunks.
+    windows go in by np.add.at; the shared whole-period window writes each
+    chunk's terms behind its running sums, sums them by an axis-0 reduce
+    and is written into the store once.  Both add row after row, so each
+    cell sums its nodes in ascending order across chunks.  The chunk
+    arithmetic reuses the kernel's arrays in place, in the order
+    (tx (f -dx) + ty (f -dy)) w, then times tx and ty.
     """
     store = np.zeros((3, len(lat.keys) * lat.S * lat.S))
-    acc = None  # running sums of the shared window, (3, 1, Wx, Wy)
+    # the shared window's running sums (row 0) and one chunk's terms behind
+    # them, (3, 1 + points, Wx, Wy)
+    acc = None
     for sel, idx, dx, dy, r2, ok in _windows(lat, x, kernel.trunc_radius):
         val, f = kernel.value_grad_r2(r2)
-        val = np.where(ok, val, 0.0)
-        f = np.where(ok, f, 0.0)
+        if ok is not None:
+            np.copyto(val, 0.0, where=~ok)
+            np.copyto(f, 0.0, where=~ok)
         # the kernel gradient at node - cell is f * (node - cell)
         tx, ty = tau[sel, 0, None, None], tau[sel, 1, None, None]
-        proj = tx * (f * -dx[:, :, None]) + ty * (f * -dy[:, None, :])
         wq = w[sel, None, None]
-        wp = wq * proj
-        parts = (wq * val, wp * tx, wp * ty)
+        fy = f * -dy[:, None, :]
+        fy *= ty
+        f *= -dx[:, :, None]
+        f *= tx
+        f += fy  # the projected gradient
+        f *= wq
         if idx.ndim == 2:
-            if acc is None:
-                acc = np.zeros((3, 1) + idx.shape)
-            for a, v in zip(acc, parts):
-                a[0] = np.add.reduce(np.concatenate((a, v)), axis=0)
+            n = len(val) + 1
+            if acc is None:  # the first chunk is the largest
+                acc = np.zeros((3, n) + idx.shape)
+            np.multiply(val, wq, out=acc[0, 1:n])
+            np.multiply(f, tx, out=acc[1, 1:n])
+            np.multiply(f, ty, out=acc[2, 1:n])
+            for a in acc:
+                a[0] = np.add.reduce(a[:n], axis=0)
         else:
+            val *= wq
+            parts = (val, np.multiply(f, tx, out=fy), np.multiply(f, ty, out=f))
             flat = idx.ravel()
             for row, v in zip(store, parts):
                 np.add.at(row, flat, v.ravel())
     if acc is not None:
-        store[:, idx.ravel()] = acc.reshape(3, -1)
+        store[:, idx.ravel()] = acc[:, 0].reshape(3, -1)
     return store
 
 
@@ -408,6 +429,7 @@ class SmoothingGrid:
     cell: float  # cell area
     mass: np.ndarray  # Phi*|V| at grid points
     fv: np.ndarray  # Phi*dV at grid points
+    denom: np.ndarray  # Phi*|V| + eps/Omega at grid points
     h_tilde: np.ndarray  # (G,2)
     lattice: Lattice
     flat: object  # store index of the points (array or slice)
@@ -475,8 +497,8 @@ def smoothing_grid(V: VarifoldView, kernel: Kernel, omega: WeightFunction):
         store = _accumulate_windows(lat, kernel, x, w, tau)
     mass, fv = store[0, flat], store[1:, flat].T
     denom = mass + eps * omega.inv_value(points)
-    out = SmoothingGrid(points, sp * sp, mass, fv, -fv / denom[:, None], lat,
-                        flat, separable)
+    out = SmoothingGrid(points, sp * sp, mass, fv, denom, -fv / denom[:, None],
+                        lat, flat, separable)
     V._cache[key] = out
     return out
 
@@ -523,26 +545,34 @@ def _gather_windows(sg, kernel, points, want_jacobian):
     H[:, sg.flat] = sg.h_tilde.T
     h = np.zeros((len(points), 2))
     J = np.zeros((len(points), 2, 2)) if want_jacobian else None
-    r = kernel.trunc_radius
-    for sel, idx, dx, dy, r2, ok in _windows(lat, points, r):
-        ti = np.repeat(np.arange(len(r2)), r2[0].size)
+    ti = hb = None
+    for sel, idx, dx, dy, r2, ok in _windows(lat, points, kernel.trunc_radius):
+        if ti is None:  # the first chunk is the largest
+            ti = np.repeat(np.arange(len(r2)), r2[0].size)
+        t = ti[:r2.size]
+        if hb is None or idx.ndim == 3:  # the shared window reads H once
+            hb = (H[0][idx], H[1][idx])
         if want_jacobian:
             val, f = kernel.value_grad_r2(r2)
-            # d/dx Phi(g - x) = -(grad Phi)(g - x)
-            f = np.where(ok, f, 0.0)
-            grad = (-(f * dx[:, :, None]), -(f * dy[:, None, :]))
         else:
             val = kernel.value_r2(r2)
-        val = np.where(ok, val, 0.0)
+        if ok is not None:
+            np.copyto(val, 0.0, where=~ok)
+        if want_jacobian:
+            if ok is not None:
+                np.copyto(f, 0.0, where=~ok)
+            # d/dx Phi(g - x) = -(grad Phi)(g - x)
+            grad = (f * -dx[:, :, None], f * -dy[:, None, :])
         for b in range(2):
-            hb = H[b][idx]
-            h[sel, b] = np.bincount(ti, weights=(val * hb * sg.cell).ravel(),
-                                    minlength=len(r2))
+            v = np.multiply(val, hb[b])
+            v *= sg.cell
+            h[sel, b] = np.bincount(t, weights=v.ravel(), minlength=len(r2))
             if want_jacobian:
                 for a in range(2):
-                    J[sel, a, b] = np.bincount(
-                        ti, weights=(grad[a] * hb * sg.cell).ravel(),
-                        minlength=len(r2))
+                    v = np.multiply(grad[a], hb[b], out=v)
+                    v *= sg.cell
+                    J[sel, a, b] = np.bincount(t, weights=v.ravel(),
+                                               minlength=len(r2))
     return h, J
 
 
@@ -564,10 +594,9 @@ def l2_energy(V: VarifoldView, kernel: Kernel, omega: WeightFunction, phi=None):
     sg = smoothing_grid(V, kernel, omega)
     if len(sg.points) == 0:
         return 0.0
-    denom = sg.mass + kernel.eps * omega.inv_value(sg.points)
     weight = omega.value(sg.points) if phi is None else phi.value(sg.points)
     fv2 = np.sum(sg.fv * sg.fv, axis=1)
-    return float(np.sum(weight * fv2 / denom) * sg.cell)
+    return float(np.sum(weight * fv2 / sg.denom) * sg.cell)
 
 
 def curvature_and_energy(V: VarifoldView, kernel: Kernel, omega: WeightFunction,

@@ -108,6 +108,55 @@ def test_product_rule_identity():
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.2, 0.5])
+def test_radial_boundary_matches_full_profile(eps):
+    # value_r2 and value_grad_r2 evaluate the profile only where r^2 > 1/4;
+    # at r^2 on either side of 1/4 and of 1 they equal the profile evaluated
+    # at every radius, bit for bit.  Each displacement's squared length is
+    # exactly the r^2 named beside it.
+    k = Kernel.make(eps)
+    below = np.nextafter(0.5, 0.0)
+    cases = [((0.0, 0.0), 0.0),
+             ((below, 0.75 * 2.0**-27), np.nextafter(0.25, 0.0)),
+             ((0.5, 0.0), 0.25),
+             ((0.5, 2.0**-27), np.nextafter(0.25, 1.0)),
+             ((0.6, 0.0), 0.36),
+             ((1.0, 0.0), 1.0),
+             ((1.0, 2.0**-26), np.nextafter(1.0, 2.0)),
+             ((1.5, 0.0), 2.25),
+             ((2.0, 0.0), 4.0)]
+    d = np.array([c[0] for c in cases])
+    r2 = np.sum(d * d, axis=-1)
+    assert np.array_equal(r2, [c[1] for c in cases])
+    val_ref, grad_ref = kernel_value_grad_full(k, d)
+    val, factor = k.value_grad_r2(r2)
+    assert _bits(val) == _bits(val_ref)
+    assert _bits(factor[:, None] * d) == _bits(grad_ref)
+    assert _bits(k.value_r2(r2)) == _bits(val_ref)
+    # 0-d input
+    for i in range(len(d)):
+        v0, f0 = k.value_grad_r2(r2[i])
+        assert np.ndim(v0) == 0 and np.ndim(f0) == 0
+        assert _bits(v0) == _bits(val_ref[i])
+        assert _bits(f0 * d[i]) == _bits(grad_ref[i])
+        assert _bits(k.value_r2(float(r2[i]))) == _bits(val_ref[i])
+    # an (n, W, W) block of window cells, as the direct lattice sums pass it
+    rng = np.random.default_rng(7)
+    dd = rng.uniform(-0.7, 0.7, (3, 5, 4, 2))
+    dd[0, 0, 0] = d[3]
+    rr = np.sum(dd * dd, axis=-1)
+    val_ref, grad_ref = kernel_value_grad_full(k, dd)
+    val, factor = k.value_grad_r2(rr)
+    assert val.shape == factor.shape == rr.shape
+    assert _bits(val) == _bits(val_ref)
+    assert _bits(factor[..., None] * dd) == _bits(grad_ref)
+    assert _bits(k.value_r2(rr)) == _bits(val_ref)
+
+
 def test_trunc_radius():
     assert Kernel.make(0.05).trunc_radius == pytest.approx(0.3)
     assert Kernel.make(0.5).trunc_radius == 1.0

@@ -403,6 +403,19 @@ def test_chunked_windows_match_tree_pairs():
     sg = _check_windows_against_tree(V, 0.2, x)
     chunks = list(vf._windows(sg.lattice, x, Kernel.make(0.2).trunc_radius))
     assert chunks[0][1].ndim == 2 and len(chunks) >= 4
+    # trunc_radius^2 = 1 >= 1/2: every minimum-image cell is within reach,
+    # so no chunk carries a mask
+    assert all(c[5] is None for c in chunks)
+    # the torus-period scene shares the whole-period window too, but
+    # trunc_radius^2 = 0.36 < 1/2 keeps its mask
+    rng = np.random.default_rng(5)
+    V = _closed_view(torus(), np.array([0.02, 0.98]) + ngon_vertices(40, 0.3))
+    x = V.quad_nodes(0.1)[0]
+    sg = _check_windows_against_tree(V, 0.1, np.concatenate(
+        [x, rng.uniform(-0.5, 1.5, (24, 2))]))
+    chunks = list(vf._windows(sg.lattice, x, Kernel.make(0.1).trunc_radius))
+    assert chunks[0][1].ndim == 2 and len(chunks) >= 2
+    assert all(c[5] is not None and not c[5].all() for c in chunks)
 
 
 @pytest.mark.parametrize("scene, h_max, eps, bound_mib", [
