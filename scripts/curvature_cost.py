@@ -1,14 +1,21 @@
-"""Cost of one curvature evaluation per scene, by path.
+"""Cost of one curvature evaluation per scene.
 
     PYTHONPATH=src python3 scripts/curvature_cost.py [--repeat 20]
 
-For each scene of a fixed set it prints the path `varifold.smoothing_grid`
-takes (separable or direct) and, on the direct path, whether `_windows`
-masks the cells beyond trunc_radius; the lattice (spacing sp, the period m
-on the torus, the window radius k, the tile edge S); the best time of
-`--repeat` calls of `curvature_and_energy`, each on a fresh view so that no
-lattice is cached; and the minor page faults per call over those calls.
-One warm-up call runs before the timed ones.  Nothing is written.
+For each scene of a fixed set it prints the lattice `varifold.smoothing_grid`
+picks (spacing sp, the period m on the torus, the window radius k, the tile
+edge S), the annulus correction's stencil cells per point (0 where
+6 eps <= 1/2), the best time of `--repeat` calls of `curvature_and_energy`,
+each on a fresh view so that no lattice is cached, and the minor page faults
+per call over those calls.  One warm-up call runs before the timed ones.
+Nothing is written.  A run on a shared 2-core x86-64 host while it was
+busy (the first row takes about 8 ms when it is quiet):
+
+    scene             eps       sp    m   k   S stencil   best_ms faults/call
+    512-gon plane    0.05  0.02500    0  13  16       0     11.02       716.4
+    512-gon plane     0.1  0.02500    0  25  32     716    177.91      1764.8
+    two-line torus    0.2  0.05000   20  25  32     123      4.14         0.0
+    torus 64-gon      0.1  0.02500   40  25  32     354     24.18       373.4
 """
 
 import argparse
@@ -67,29 +74,20 @@ def measure(net, kernel, repeat):
     return vf.smoothing_grid(V, kernel, om), 1e3 * best, faults / repeat
 
 
-def masked(sg, kernel, net):
-    """Whether the direct sums mask window cells ("-" on the separable path)."""
-    if sg.separable:
-        return "-"
-    chunk = next(vf._windows(sg.lattice, net.vertices, kernel.trunc_radius))
-    return "yes" if chunk[-1] is not None else "no"
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--repeat", type=int, default=20)
     args = ap.parse_args()
-    print("%-15s %5s %-9s %6s %8s %4s %3s %3s %9s %11s"
-          % ("scene", "eps", "path", "masked", "sp", "m", "k", "S",
-             "best_ms", "faults/call"))
+    print("%-15s %5s %8s %4s %3s %3s %7s %9s %11s"
+          % ("scene", "eps", "sp", "m", "k", "S", "stencil", "best_ms",
+             "faults/call"))
     for name, net, eps in scenes():
         kernel = Kernel.make(eps)
         sg, ms, faults = measure(net, kernel, args.repeat)
         lat = sg.lattice
-        print("%-15s %5.3g %-9s %6s %8.5f %4d %3d %3d %9.2f %11.1f"
-              % (name, eps, "separable" if sg.separable else "direct",
-                 masked(sg, kernel, net), lat.sp, lat.m, lat.k, lat.S, ms,
-                 faults))
+        print("%-15s %5.3g %8.5f %4d %3d %3d %7d %9.2f %11.1f"
+              % (name, eps, lat.sp, lat.m, lat.k, lat.S, len(sg.stencil[0]),
+                 ms, faults))
 
 
 if __name__ == "__main__":

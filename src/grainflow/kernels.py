@@ -15,10 +15,12 @@ The exact product-rule identity
 
 holds analytically and is verified to 1e-10 in tests.
 
-`Kernel.value_r2` and `Kernel.value_grad_r2` take squared radii, as the
-lattice sums hold them, and evaluate value and gradient factor in one pass:
-PhiHat in place on every r^2, the root and the quintic only where r^2 > 1/4.
-Both are bit-equal to evaluating the profile at every radius.
+`Kernel.value_r2` and `Kernel.value_grad_r2` take squared radii and
+evaluate value and gradient factor in one pass: PhiHat in place on every
+r^2, the root and the quintic only where r^2 > 1/4.  Both are bit-equal to
+evaluating the profile at every radius.  `Kernel.annulus_r2` gives
+c (psi - 1) PhiHat, the part of Phi_eps that the curvature lattice adds to
+its separable Gaussian c PhiHat.
 """
 
 from dataclasses import dataclass
@@ -37,7 +39,12 @@ def psi(r):
 
 def _psi_u(u):
     """psi at u = 2r - 1 clipped to [0, 1]."""
-    return 1.0 - u**3 * (10.0 - 15.0 * u + 6.0 * u * u)
+    return 1.0 - _psi_drop_u(u)
+
+
+def _psi_drop_u(u):
+    """1 - psi at u = 2r - 1 clipped to [0, 1]."""
+    return u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
 
 
 def psi_prime(r):
@@ -97,16 +104,14 @@ class Kernel:
         return cls(float(eps), kernel_normalize(eps))
 
     @property
-    def trunc_radius(self):
-        # beyond 6 eps the Gaussian factor is < e^-18; the hard cutoff is at 1
-        return min(1.0, 6.0 * self.eps)
+    def tail_radius(self):
+        # beyond 6 eps the Gaussian factor is below e^-18 of its peak
+        return 6.0 * self.eps
 
-    def gauss(self, d):
-        """Untruncated Gaussian PhiHat at displacements d (..., 2)."""
-        d = np.asarray(d, dtype=float)
-        r2 = np.sum(d * d, axis=-1)
-        e2 = self.eps * self.eps
-        return np.exp(-r2 / (2.0 * e2)) / (2.0 * np.pi * e2)
+    @property
+    def trunc_radius(self):
+        # the hard cutoff is at 1
+        return min(1.0, self.tail_radius)
 
     def value(self, d):
         d = np.asarray(d, dtype=float)
@@ -159,3 +164,26 @@ class Kernel:
         f.reshape(-1)[far] = (self.c_eps * (_psi_prime_u(u, u < 1.0) / rf) * ghat
                               - flat[far] / e2)
         return val, f
+
+    def annulus_r2(self, r2):
+        """Value and gradient factor of c (psi - 1) PhiHat at squared radii
+        r2 (an array), zero beyond tail_radius.
+
+        Within tail_radius Phi_eps is c PhiHat plus this term, which is
+        nonzero only where r > 1/2.  The value is -c (1 - psi) PhiHat, the
+        factor c psi'(r)/r PhiHat - value / eps^2; psi' vanishes where
+        r <= 1/2, so dividing by max(r, 1/2) there changes nothing.
+        """
+        e2 = self.eps * self.eps
+        ghat = np.exp(r2 / (-2.0 * e2))
+        ghat *= self.c_eps / (2.0 * np.pi * e2)
+        ghat[r2 > self.tail_radius ** 2] = 0.0  # so value and factor are 0
+        r = np.sqrt(r2)
+        u = np.clip(2.0 * r - 1.0, 0.0, 1.0)
+        val = _psi_drop_u(u)
+        val *= ghat  # c (1 - psi) PhiHat
+        f = _psi_prime_u(u, True)
+        f /= np.maximum(r, 0.5)
+        f *= ghat
+        f += val / e2
+        return np.negative(val, out=val), f

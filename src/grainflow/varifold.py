@@ -21,39 +21,47 @@ feed the smoothed mean curvature
 
 The two convolutions, and so h_tilde, are evaluated only at the cells of
 one lattice, and the outer convolution is a Riemann sum over those cells.
-`_separable` picks the one kernel that fills and reads the cells: products
-of 1D Gaussian rows, one window per tile by matrix products, where the
-cutoff profile is 1 on the window; otherwise direct sums of the kernel
-truncated at min(1, 6 eps) over each point's window of the (2k + 1)^2 cells
-around the cell holding it.  Beyond 6 eps the Gaussian factor is below
-e^-18, which bounds how far the two kernels differ.
+Every eps takes one formula, Phi_eps = c PhiHat + c (psi - 1) PhiHat:
 
-`_spacing` picks the lattice: spacing eps/2 in the plane, 1/m with
-m = ceil(2/eps) on the torus (cell indices mod m), where the kernel is
-separable on it; otherwise eps/4, or m = ceil(4/eps).  The separable sums
-converge spectrally in the spacing: at eps/2, h_eps is within 4e-6 of
-max|h| and the energy within 3e-7 (relative) of an eps/8 lattice on the
-scenes of `scripts/lattice_error.py` and the tests.  The direct sums keep
-eps/4: where the cutoff profile reaches into the window they converge only
-algebraically (a torus circle at eps 0.2 is 1e-3 from its eps/8 limit).
-The cells sit at global indices in S x S tiles, S the smallest power of
-two >= k and at least 16, k = ceil(trunc_radius / spacing); a tile is
-stored when the window [t S - k, t S + S + k) of a tile t holding
-quadrature nodes touches it, so memory scales with the carrier length and
-h at a point depends only on the carrier near it.  The L^2 curvature proxy
-is
+  - the Gaussian c PhiHat factors into 1D rows, so the points of one tile
+    fill or read its window of cells by matrix products;
+  - the annulus correction c (psi - 1) PhiHat is nonzero only where
+    r > 1/2.  It is summed directly over a fixed stencil of cells around
+    each point's cell: those that can lie between 1/2 and tail_radius =
+    6 eps from a point of the cell.  Where 6 eps <= 1/2 (eps <= 1/12) the
+    stencil is empty and the Gaussian is the whole kernel.
+
+Beyond 6 eps the Gaussian is below e^-18 of its peak.  The rows keep that
+tail out to the window's edge and the correction is zero there, which
+bounds how far the sums are from the kernel truncated at 6 eps.  On the
+torus, cell indices are taken mod m.  Where the 2k + 1 cells around a point
+would wrap past the period, every window is the whole period instead, each
+cell once, at its per-axis minimum-image displacement.
+
+`_spacing` picks the lattice: spacing eps/2 (m = ceil(2/eps) on the torus)
+where the stencil is empty, eps/4 (m = ceil(4/eps)) where the correction
+runs.  The Gaussian sums converge spectrally in the spacing: at eps/2,
+h_eps is within 4e-6 of max|h| and the energy within 3e-7 (relative) of an
+eps/8 lattice on the scenes of `scripts/lattice_error.py` and the tests.
+The correction has the profile's finite smoothness at r = 1/2 and converges
+only algebraically: the 512-gon at eps 0.1 is 5e-8 from its eps/8 limit at
+spacing eps/2 and 8e-10 at eps/4.  On the torus at eps 0.1 and 0.2 the
+minimum-image cut at half the period dominates (1.4e-7 and 1e-3 at eps/4).  The cells sit at
+global indices in S x S tiles, S the smallest power of two >= k and at
+least 16, k = ceil(6 eps / spacing); a tile is stored when the window
+[t S - k, t S + S + k) of a tile t holding quadrature nodes touches it, so
+memory scales with the carrier length and h at a point depends only on the
+carrier near it.  The L^2 curvature proxy is
 
     energy = int |Phi_eps * dV|^2 Omega / (Phi_eps * |V| + eps/Omega) dy.
 
-The direct sums run over chunks of at most 8,192 window cells (64 KiB per
-float temporary).  Larger temporaries crossed glibc's 128 KiB threshold, so
-each free handed their pages back to the OS and the next chunk faulted them
-in again: 65,536-cell chunks took about 1,900 minor faults per two-line
-torus step at eps 0.2.  The kernel and the chunk arithmetic work in place,
-so a chunk frees four such temporaries (r^2, the value, the gradient
-factor, one product) where it freed about ten; freed together at the top
-of the heap they can still add up past the threshold, about 100-130 faults
-per two-line torus step (170-590 with ten), by heap layout.
+The correction runs over chunks of at most 4,096 stencil cells (32 KiB per
+float temporary).  When the temporaries that a chunk frees together at the
+top of the heap add up past glibc's 128 KiB trim threshold, the heap hands
+their pages back to the OS and the next chunk faults them in again.  In the
+perfbench lines-kdtree process (two-line torus, eps 0.2) a step took
+215-323 minor faults with 8,192-cell chunks and 0.3-136 with 4,096; the
+count moves with unrelated allocations that shift the heap's layout.
 """
 
 from dataclasses import dataclass, field
@@ -171,11 +179,10 @@ def weighted_first_variation_of_field(phi, h_at_nodes, nodes_w, nodes_x):
 
 # ---- kernel-weighted accumulation --------------------------------------------
 
-# window cells per chunk of the direct lattice sums: every float temporary
-# stays near 64 KiB, under glibc's 128 KiB mmap and trim threshold, so a freed
-# temporary is not by itself handed back to the OS and faulted in again (the
-# module docstring gives the fault counts)
-_WINDOW_CHUNK = 1 << 13
+# stencil cells per chunk of the annulus correction: a chunk's float
+# temporaries of 32 KiB each stay under glibc's 128 KiB trim threshold
+# together (the module docstring gives the fault counts)
+_CHUNK = 1 << 12
 
 
 def _kernel_cap(V, eps):
@@ -187,28 +194,17 @@ def _kernel_cap(V, eps):
 # ---- smoothing lattice --------------------------------------------------------
 
 
-def _separable(kernel, sp):
-    """Whether Phi_eps factors into 1D Gaussian rows on a lattice of spacing sp.
-
-    It does where the cutoff profile is 1: on the square of half-width
-    trunc_radius + 2 sp around a point when sqrt(2) (trunc_radius + 2 sp) <= 1/2.
-    """
-    return np.sqrt(2.0) * (kernel.trunc_radius + 2.0 * sp) <= 0.5
-
-
 def _spacing(kernel, domain):
     """(sp, m): the lattice spacing, and the period in cells (0 in the plane).
 
-    eps/2 (m = ceil(2/eps) on the torus) where the kernel is separable on
-    it, else eps/4 (m = ceil(4/eps)), where `_separable` still decides the
-    kernel.  The module docstring states the error budget.
+    eps/2 (m = ceil(2/eps) on the torus) where the kernel is the Gaussian
+    within its tail, 6 eps <= 1/2; eps/4 (m = ceil(4/eps)) where the annulus
+    correction runs.  The module docstring states the error budget.
     """
-    for cells_per_eps in (2.0, 4.0):
-        m = int(np.ceil(cells_per_eps / kernel.eps)) if domain.periodic else 0
-        sp = 1.0 / m if m else kernel.eps / cells_per_eps
-        if _separable(kernel, sp):
-            break
-    return sp, m
+    eps = kernel.eps
+    cells_per_eps = 2.0 if kernel.tail_radius <= 0.5 else 4.0
+    m = int(np.ceil(cells_per_eps / eps)) if domain.periodic else 0
+    return (1.0 / m if m else eps / cells_per_eps), m
 
 
 def _tile_key(tx, ty):
@@ -235,15 +231,32 @@ class Lattice:
     def __post_init__(self):
         self.S = max(16, 1 << (self.k - 1).bit_length())
 
+    @property
+    def whole(self):
+        """Whether every window is the whole torus period: the 2k + 1 cells
+        around a point would wrap past it."""
+        return bool(self.m) and 2 * self.k + 1 > self.m
+
+    def offsets(self):
+        """Cell offsets from a point's cell that its window holds, per axis:
+        -k..k, or on a whole period each cell once, -(m // 2) .. m - m // 2 - 1."""
+        if self.whole:
+            return np.arange(-(self.m // 2), self.m - self.m // 2)
+        return np.arange(-self.k, self.k + 1)
+
     def axis(self, t):
-        """Window cells [t S - k, t S + S + k) along one axis, for tiles t (G,).
+        """Window cells along one axis, for tiles t (G,): [t S - k, t S + S + k),
+        or the whole period.
 
         Returns the unwrapped cell centres (G,W), the cell indices (mod m on
         the torus, (G,W)) and the tiles the window crosses in order (G,A,
         padded by repeating its first).
         """
         S = self.S
-        u = t[:, None] * S - self.k + np.arange(S + 2 * self.k)
+        if self.whole:
+            u = np.broadcast_to(np.arange(self.m), (len(t), self.m))
+        else:
+            u = t[:, None] * S - self.k + np.arange(S + 2 * self.k)
         centre = (u + 0.5) * self.sp
         if self.m:
             u = np.mod(u, self.m)
@@ -287,6 +300,7 @@ class _Groups:
         ks = key[self.order]
         self.starts = np.flatnonzero(np.diff(ks, prepend=ks[:1] - 1))
         tiles = t[self.order[self.starts]]
+        self.whole = lat.whole
         self.x = lat.axis(tiles[:, 0])
         self.y = lat.axis(tiles[:, 1])
         # keys of every tile the windows touch: (G, Ax, Ay)
@@ -298,9 +312,14 @@ class _Groups:
             yield g, self.order[a:b]
 
     def rows(self, g, pts, eps):
-        """Gaussian rows of window g at points (n,2): (gx, gxd, gy, gyd)."""
-        return (*_gauss_axis(eps, self.x[0][g] - pts[:, 0:1]),
-                *_gauss_axis(eps, self.y[0][g] - pts[:, 1:2]))
+        """Gaussian rows of window g at points (n,2) in [0, 1) on the torus:
+        (gx, gxd, gy, gyd), minimum image on a whole period."""
+        dx = self.x[0][g] - pts[:, 0:1]
+        dy = self.y[0][g] - pts[:, 1:2]
+        if self.whole:
+            dx -= np.round(dx)
+            dy -= np.round(dy)
+        return (*_gauss_axis(eps, dx), *_gauss_axis(eps, dy))
 
 
 def _store_indexer(lat):
@@ -328,99 +347,56 @@ def _store_indexer(lat):
     return index
 
 
-def _windows(lat, pts, r):
-    """Each point's window of lattice cells, in chunks, for the direct sums.
+def _stencil(lat, kernel):
+    """The cells around a point's cell where the annulus correction can be
+    nonzero, as index pairs (ix, iy) into `Lattice.offsets`: some point of
+    the cell is beyond 1/2 from the offset cell's centre, and some point
+    within tail_radius of it.  Empty where tail_radius <= 1/2."""
+    a = np.abs(lat.offsets())
+    if kernel.tail_radius <= 0.5:
+        a = a[:0]
+    far = (a + 0.5) ** 2
+    near = np.maximum(a - 0.5, 0.0) ** 2
+    sp2 = lat.sp * lat.sp
+    return np.nonzero((sp2 * (far[:, None] + far) > 0.25)
+                      & (sp2 * (near[:, None] + near) < kernel.tail_radius ** 2))
 
-    The window is the cell holding the point and k cells either side of it
-    on each axis (mod m on the torus), so it holds every cell within
-    r <= k sp.  When 2k + 1 > m it is the whole period instead, every cell
-    once, ascending: all points share it, so its store index and cell
-    centres are built once.  Yields, per chunk of at most _WINDOW_CHUNK
-    window cells: the chunk's slice of the points; the store index of each
-    window cell (n, Wx, Wy), or (Wx, Wy) for the shared window (the zero
-    tile where its tile is not stored); the per-axis displacements
-    cell - point (n, Wx) and (n, Wy), minimum image on the torus; their r^2
-    (n, Wx, Wy); and the mask of cells within r, or None where every cell
-    is: on the shared window when r^2 >= 1/2, since minimum-image
-    displacements are at most 1/2 per axis.  Chunks and points are
-    node-major, so a scatter keeps each cell's sum in point order.
+
+def _stencil_chunks(lat, stencil, pts):
+    """Each point's stencil cells, in chunks of at most _CHUNK cells.
+
+    Yields per chunk: the chunk's slice of the points; the store index of
+    each stencil cell (n, C), the zero tile where its tile is not stored;
+    and the displacements cell - point per axis (n, C) with their r^2.  The
+    displacements are the Gaussian rows' own: from unwrapped cells, or on a
+    whole period from cells mod m at minimum image.  The store index is read
+    from a dense map over the unwrapped cells that the stencils reach (mod m
+    on the torus), so a cell costs one take.
     """
-    k, m = lat.k, lat.m
-    store_index = _store_indexer(lat)
-    shared = m and 2 * k + 1 > m
-    if shared:
-        u = np.arange(m)
-        idx = store_index(u, u)
-        centre = (u + 0.5) * lat.sp
-    every = shared and r * r >= 0.5
-    side = m if shared else 2 * k + 1
-    step = max(1, _WINDOW_CHUNK // (side * side))
-    for lo in range(0, len(pts), step):
-        p = pts[lo:lo + step]
-        if not shared:
-            c = np.floor((np.mod(p, 1.0) if m else p) / lat.sp).astype(np.int64)
-            u = c[:, :, None] + np.arange(-k, k + 1)  # (n, 2, W)
-            if m:
-                u = np.mod(u, m)
-            idx = store_index(u[:, 0], u[:, 1])
-            centre = (u + 0.5) * lat.sp
-        d = centre - p[:, :, None]
-        if m:
-            d = d - np.round(d)
-        dx, dy = d[:, 0], d[:, 1]
-        r2 = (dx * dx)[:, :, None] + (dy * dy)[:, None, :]
-        yield slice(lo, lo + step), idx, dx, dy, r2, None if every else r2 <= r * r
-
-
-def _accumulate_windows(lat, kernel, x, w, tau):
-    """Phi*|V| and Phi*dV on the stored tiles by direct sums over node windows.
-
-    Every node adds its kernel value and projected gradient into the cells of
-    its window within trunc_radius, in the (3, tiles * S^2) store (rows:
-    mass, fv_x, fv_y); the stored tiles hold every node window.  Per-node
-    windows go in by np.add.at; the shared whole-period window writes each
-    chunk's terms behind its running sums, sums them by an axis-0 reduce
-    and is written into the store once.  Both add row after row, so each
-    cell sums its nodes in ascending order across chunks.  The chunk
-    arithmetic reuses the kernel's arrays in place, in the order
-    (tx (f -dx) + ty (f -dy)) w, then times tx and ty.
-    """
-    store = np.zeros((3, len(lat.keys) * lat.S * lat.S))
-    # the shared window's running sums (row 0) and one chunk's terms behind
-    # them, (3, 1 + points, Wx, Wy)
-    acc = None
-    for sel, idx, dx, dy, r2, ok in _windows(lat, x, kernel.trunc_radius):
-        val, f = kernel.value_grad_r2(r2)
-        if ok is not None:
-            np.copyto(val, 0.0, where=~ok)
-            np.copyto(f, 0.0, where=~ok)
-        # the kernel gradient at node - cell is f * (node - cell)
-        tx, ty = tau[sel, 0, None, None], tau[sel, 1, None, None]
-        wq = w[sel, None, None]
-        fy = f * -dy[:, None, :]
-        fy *= ty
-        f *= -dx[:, :, None]
-        f *= tx
-        f += fy  # the projected gradient
-        f *= wq
-        if idx.ndim == 2:
-            n = len(val) + 1
-            if acc is None:  # the first chunk is the largest
-                acc = np.zeros((3, n) + idx.shape)
-            np.multiply(val, wq, out=acc[0, 1:n])
-            np.multiply(f, tx, out=acc[1, 1:n])
-            np.multiply(f, ty, out=acc[2, 1:n])
-            for a in acc:
-                a[0] = np.add.reduce(a[:n], axis=0)
-        else:
-            val *= wq
-            parts = (val, np.multiply(f, tx, out=fy), np.multiply(f, ty, out=f))
-            flat = idx.ravel()
-            for row, v in zip(store, parts):
-                np.add.at(row, flat, v.ravel())
-    if acc is not None:
-        store[:, idx.ravel()] = acc[:, 0].reshape(3, -1)
-    return store
+    ix, iy = stencil
+    if len(ix) == 0 or len(pts) == 0:
+        return
+    o = lat.offsets()
+    p = np.mod(pts, 1.0) if lat.m else pts
+    c = np.floor(p / lat.sp).astype(np.int64)
+    lo, hi = c.min(axis=0) + o[0], c.max(axis=0) + o[-1]
+    ux, uy = np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1)
+    if lat.m:
+        ux, uy = np.mod(ux, lat.m), np.mod(uy, lat.m)
+    dense = _store_indexer(lat)(ux, uy).ravel()
+    base = (c[:, 0] - lo[0]) * len(uy) + (c[:, 1] - lo[1])
+    off = o[ix] * len(uy) + o[iy]
+    step = max(1, _CHUNK // len(ix))
+    for s in range(0, len(p), step):
+        sel = slice(s, s + step)
+        u = c[sel, :, None] + o  # (n, 2, W)
+        if lat.whole:
+            u = np.mod(u, lat.m)
+        d = (u + 0.5) * lat.sp - p[sel, :, None]
+        if lat.whole:
+            d -= np.round(d)
+        dx, dy = d[:, 0, ix], d[:, 1, iy]
+        yield sel, dense.take(base[sel, None] + off), dx, dy, dx * dx + dy * dy
 
 
 @dataclass
@@ -433,7 +409,7 @@ class SmoothingGrid:
     h_tilde: np.ndarray  # (G,2)
     lattice: Lattice
     flat: object  # store index of the points (array or slice)
-    separable: bool  # which kernel filled the lattice
+    stencil: tuple  # (ix, iy) of the annulus correction, empty at eps <= 1/12
 
 
 def _gauss_axis(eps, dx):
@@ -444,7 +420,8 @@ def _gauss_axis(eps, dx):
 
 
 def _accumulate_blocks(lat, grp, xq, w, tau, eps, cconst):
-    """Phi*|V| and Phi*dV on the stored tiles by separable Gaussian windows.
+    """c PhiHat * |V| and c PhiHat * dV on the stored tiles by separable
+    Gaussian windows.
 
     Each tile's nodes fill its window with two matrix products, added into
     the (3, tiles * S^2) store (rows: mass, fv_x, fv_y) by one np.add.at.
@@ -452,7 +429,7 @@ def _accumulate_blocks(lat, grp, xq, w, tau, eps, cconst):
     n = len(lat.keys) * lat.S * lat.S
     store = np.zeros(3 * n)
     idx = _store_indexer(lat)(grp.x[1], grp.y[1])  # (G, W, W)
-    W = lat.S + 2 * lat.k
+    W = idx.shape[1]
     rows = n * np.arange(3)[:, None]
     for g, sel in grp:
         gx, gxd, gy, gyd = grp.rows(g, xq[sel], eps)
@@ -468,15 +445,29 @@ def _accumulate_blocks(lat, grp, xq, w, tau, eps, cconst):
     return store.reshape(3, n)
 
 
+def _accumulate_annulus(lat, stencil, kernel, x, w, tau, store):
+    """Add c (psi - 1) PhiHat * |V| and * dV into the store, node by node
+    over the stencil cells, by np.add.at."""
+    for sel, idx, dx, dy, r2 in _stencil_chunks(lat, stencil, x):
+        val, f = kernel.annulus_r2(r2)
+        # the kernel gradient at node - cell is f * (node - cell)
+        tx, ty = tau[sel, 0:1], tau[sel, 1:2]
+        wq = w[sel, None]
+        f *= -(tx * dx + ty * dy)
+        f *= wq  # the projected gradient
+        val *= wq
+        for row, v in zip(store, (val, f * tx, f * ty)):
+            np.add.at(row, idx.ravel(), v.ravel())
+
+
 def smoothing_grid(V: VarifoldView, kernel: Kernel, omega: WeightFunction):
     """h_tilde on the cells of the stored lattice tiles (cached on the view).
 
-    `_spacing` picks the spacing (eps/2 where the kernel is separable on
-    it, else eps/4) and `Lattice` its tile edge.  A tile is stored when the window of a tile holding quadrature
-    nodes touches it, so memory scales with the carrier length.
-    `_separable` decides which kernel fills the cells: separable Gaussian
-    windows scattered per node tile, or the direct truncated-kernel sums
-    over each node's window of cells within trunc_radius.
+    `_spacing` picks the spacing and `Lattice` its tile edge.  A tile is
+    stored when the window of a tile holding quadrature nodes touches it,
+    so memory scales with the carrier length.  The Gaussian part fills the
+    cells by separable windows scattered per node tile; where 6 eps > 1/2
+    the annulus correction adds its direct sums over the stencil cells.
     """
     key = ("grid", kernel.eps, omega.variant)
     if key in V._cache:
@@ -484,96 +475,63 @@ def smoothing_grid(V: VarifoldView, kernel: Kernel, omega: WeightFunction):
     eps = kernel.eps
     x, w, tau, _, _ = V.quad_nodes(_kernel_cap(V, eps))
     sp, m = _spacing(kernel, V.domain)
-    lat = Lattice(sp, int(np.ceil(kernel.trunc_radius / sp)), m)
+    lat = Lattice(sp, int(np.ceil(kernel.tail_radius / sp)), m)
     xq = np.mod(x, 1.0) if m else x
     grp = _Groups(lat, xq)
     lat.keys = np.unique(grp.keys)
     flat, points = lat.cells()
-    separable = bool(_separable(kernel, sp))
-    if separable:
-        cconst = kernel.c_eps / (2.0 * np.pi * eps * eps)
-        store = _accumulate_blocks(lat, grp, xq, w, tau, eps, cconst)
-    else:
-        store = _accumulate_windows(lat, kernel, x, w, tau)
+    cconst = kernel.c_eps / (2.0 * np.pi * eps * eps)
+    store = _accumulate_blocks(lat, grp, xq, w, tau, eps, cconst)
+    stencil = _stencil(lat, kernel)
+    _accumulate_annulus(lat, stencil, kernel, x, w, tau, store)
     mass, fv = store[0, flat], store[1:, flat].T
     denom = mass + eps * omega.inv_value(points)
     out = SmoothingGrid(points, sp * sp, mass, fv, denom, -fv / denom[:, None],
-                        lat, flat, separable)
+                        lat, flat, stencil)
     V._cache[key] = out
     return out
 
 
-def _gather_blocks(sg, kernel, points, want_jacobian):
-    """Separable Phi_eps * h_tilde at points, and its Jacobian, per tile.
+def _gather_blocks(sg, kernel, points, H, want_jacobian):
+    """c PhiHat * h_tilde at points, and its Jacobian, per tile.
 
-    The points of one tile read that tile's window of h_tilde (tiles not
-    stored read zero): a matrix product with the x rows, then a row dot with
-    the y rows.  J[:, a, b] = d h_b / d x_a.
+    The points of one tile read that tile's window of the stored h_tilde H
+    (tiles not stored read zero): a matrix product with the x rows, then a
+    row dot with the y rows.  J[:, a, b] = d h_b / d x_a.
     """
     lat = sg.lattice
     eps = kernel.eps
     q = np.mod(points, 1.0) if lat.m else points
     grp = _Groups(lat, q)
     idx = _store_indexer(lat)(grp.x[1], grp.y[1])  # (G, W, W)
-    H = np.zeros(((len(lat.keys) + 1) * lat.S * lat.S, 2))
-    H[sg.flat] = sg.h_tilde
-    W = lat.S + 2 * lat.k
+    W = idx.shape[1]
     scale = kernel.c_eps / (2.0 * np.pi * eps * eps) * sg.cell
     h = np.zeros((len(q), 2))
     J = np.zeros((len(q), 2, 2)) if want_jacobian else None
     for g, sel in grp:
         gx, gxd, gy, gyd = grp.rows(g, q[sel], eps)
-        block = H[idx[g]].reshape(W, 2 * W)
-        rows = (gx @ block).reshape(-1, W, 2)
+        block = H[idx[g]].reshape(W, -1)
+        rows = (gx @ block).reshape(len(sel), -1, 2)
         h[sel] = np.einsum("njc,nj->nc", rows, gy) * scale
         if want_jacobian:
-            drows = (gxd @ block).reshape(-1, W, 2)
+            drows = (gxd @ block).reshape(len(sel), -1, 2)
             J[sel, 0] = np.einsum("njc,nj->nc", drows, gy) * scale
             J[sel, 1] = np.einsum("njc,nj->nc", rows, gyd) * scale
     return h, J
 
 
-def _gather_windows(sg, kernel, points, want_jacobian):
-    """Direct Phi_eps * h_tilde at points over their windows of lattice cells.
-
-    Each point sums the truncated kernel against h_tilde at the cells of its
-    window within trunc_radius (tiles not stored read zero).  Returns (h, J),
-    J = None unless requested; J[:, a, b] = d h_b / d x_a.
-    """
-    lat = sg.lattice
-    H = np.zeros((2, (len(lat.keys) + 1) * lat.S * lat.S))
-    H[:, sg.flat] = sg.h_tilde.T
-    h = np.zeros((len(points), 2))
-    J = np.zeros((len(points), 2, 2)) if want_jacobian else None
-    ti = hb = None
-    for sel, idx, dx, dy, r2, ok in _windows(lat, points, kernel.trunc_radius):
-        if ti is None:  # the first chunk is the largest
-            ti = np.repeat(np.arange(len(r2)), r2[0].size)
-        t = ti[:r2.size]
-        if hb is None or idx.ndim == 3:  # the shared window reads H once
-            hb = (H[0][idx], H[1][idx])
-        if want_jacobian:
-            val, f = kernel.value_grad_r2(r2)
-        else:
-            val = kernel.value_r2(r2)
-        if ok is not None:
-            np.copyto(val, 0.0, where=~ok)
-        if want_jacobian:
-            if ok is not None:
-                np.copyto(f, 0.0, where=~ok)
+def _gather_annulus(sg, kernel, points, H, h, J):
+    """Add c (psi - 1) PhiHat * h_tilde at points, and its Jacobian, into h
+    and J by direct sums over each point's stencil cells."""
+    for sel, idx, dx, dy, r2 in _stencil_chunks(sg.lattice, sg.stencil, points):
+        val, f = kernel.annulus_r2(r2)
+        hc = H[idx]  # (n, C, 2)
+        h[sel] += np.einsum("nc,nck->nk", val, hc) * sg.cell
+        if J is not None:
             # d/dx Phi(g - x) = -(grad Phi)(g - x)
-            grad = (f * -dx[:, :, None], f * -dy[:, None, :])
-        for b in range(2):
-            v = np.multiply(val, hb[b])
-            v *= sg.cell
-            h[sel, b] = np.bincount(t, weights=v.ravel(), minlength=len(r2))
-            if want_jacobian:
-                for a in range(2):
-                    v = np.multiply(grad[a], hb[b], out=v)
-                    v *= sg.cell
-                    J[sel, a, b] = np.bincount(t, weights=v.ravel(),
-                                               minlength=len(r2))
-    return h, J
+            f *= -sg.cell
+            J[sel, 0] += np.einsum("nc,nck->nk", f * dx, hc)
+            J[sel, 1] += np.einsum("nc,nck->nk", f * dy, hc)
 
 
 def h_eps_at(V, kernel, omega, points, want_jacobian=False):
@@ -582,10 +540,12 @@ def h_eps_at(V, kernel, omega, points, want_jacobian=False):
     sg = smoothing_grid(V, kernel, omega)
     if len(sg.points) == 0 or len(points) == 0:
         h, J = np.zeros((len(points), 2)), np.zeros((len(points), 2, 2))
-    elif sg.separable:
-        h, J = _gather_blocks(sg, kernel, points, want_jacobian)
     else:
-        h, J = _gather_windows(sg, kernel, points, want_jacobian)
+        lat = sg.lattice
+        H = np.zeros(((len(lat.keys) + 1) * lat.S * lat.S, 2))
+        H[sg.flat] = sg.h_tilde
+        h, J = _gather_blocks(sg, kernel, points, H, want_jacobian)
+        _gather_annulus(sg, kernel, points, H, h, J)
     return (h, J) if want_jacobian else h
 
 
@@ -603,8 +563,8 @@ def curvature_and_energy(V: VarifoldView, kernel: Kernel, omega: WeightFunction,
                          points):
     """(h_eps at points, L^2 energy), both from the view's cached lattice.
 
-    The kernel the lattice uses, separable or direct, is decided once in
-    `_separable`; every scene, eps and domain takes this one path.
+    Every scene, eps and domain takes this one path: the Gaussian rows,
+    and where 6 eps > 1/2 the annulus correction.
     """
     h = h_eps_at(V, kernel, omega, points)
     return h, l2_energy(V, kernel, omega)

@@ -123,6 +123,13 @@ def quad_nodes_loop(V, max_h):
             np.concatenate(sidx), np.concatenate(tpar))
 
 
+def gaussian(eps, d):
+    """Untruncated Gaussian PhiHat_eps at displacements d (..., 2)."""
+    d = np.asarray(d, dtype=float)
+    r2 = np.sum(d * d, axis=-1)
+    return np.exp(-r2 / (2.0 * eps * eps)) / (2.0 * np.pi * eps * eps)
+
+
 def kernel_value_grad_full(kernel, d):
     """Kernel value and gradient with the profile evaluated at every radius,
     the reference for Kernel.value_grad."""
@@ -132,7 +139,7 @@ def kernel_value_grad_full(kernel, d):
     e2 = kernel.eps * kernel.eps
     ghat = np.exp(-r2 / (2.0 * e2)) / (2.0 * np.pi * e2)
     u = np.clip(2.0 * r - 1.0, 0.0, 1.0)
-    val = kernel.c_eps * (1.0 - u**3 * (10.0 - 15.0 * u + 6.0 * u * u)) * ghat
+    val = kernel.c_eps * (1.0 - u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)) * ghat
     u = 2.0 * r - 1.0
     inside = (u > 0.0) & (u < 1.0)
     u = np.where(inside, u, 0.0)
@@ -164,21 +171,47 @@ def _tree_pairs(domain, pts, queries, r):
                    np.concatenate([np.asarray(l, dtype=int) for l in lists if l]))
 
 
-def direct_lattice_sums_tree(V, kernel, cells):
-    """Phi*|V| and Phi*dV at lattice cells by KD-tree pair lists, the
-    reference for the direct branch of varifold.smoothing_grid.
+def annulus_value_grad(kernel, d):
+    """The annulus term c (psi - 1) PhiHat and its gradient at displacements
+    d, the reference for Kernel.annulus_r2 within tail_radius."""
+    d = np.asarray(d, dtype=float)
+    r2 = np.sum(d * d, axis=-1)
+    r = np.sqrt(r2)
+    e2 = kernel.eps * kernel.eps
+    ghat = kernel.c_eps * np.exp(-r2 / (2.0 * e2)) / (2.0 * np.pi * e2)
+    u = np.clip(2.0 * r - 1.0, 0.0, 1.0)
+    val = -(u**3 * (10.0 - 15.0 * u + 6.0 * u * u)) * ghat
+    dpsi = np.where((u > 0.0) & (u < 1.0), -60.0 * u * u * (1.0 - u) ** 2, 0.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        radial = np.where(r > 0.0, dpsi / np.where(r > 0.0, r, 1.0), 0.0)
+    return val, (radial * ghat - val / e2)[..., None] * d
 
-    Each cell sums its nodes within trunc_radius in ascending order.
+
+def _term(kernel, annulus):
+    """(value_grad, radius) of the whole truncated kernel, or of the annulus
+    term within tail_radius."""
+    if annulus:
+        return annulus_value_grad, kernel.tail_radius
+    return kernel_value_grad_full, kernel.trunc_radius
+
+
+def direct_lattice_sums_tree(V, kernel, cells, annulus=False):
+    """Phi*|V| and Phi*dV at lattice cells by KD-tree pair lists, the
+    reference for varifold.smoothing_grid; with annulus=True the sums of the
+    annulus term alone, the reference for its direct sums.
+
+    Each cell sums its nodes within the kernel's radius in ascending order.
     """
+    value_grad, radius = _term(kernel, annulus)
     cap = min(V.h_sub, kernel.eps)
     x, w, tau, _, _ = V.quad_nodes(cap)
     m = len(cells)
     mass, fv = np.zeros(m), np.zeros((m, 2))
     if len(x) == 0 or m == 0:
         return mass, fv
-    for ti, ni in _tree_pairs(V.domain, x, cells, kernel.trunc_radius):
+    for ti, ni in _tree_pairs(V.domain, x, cells, radius):
         d = V.domain.delta(cells[ti], x[ni])  # node - cell
-        val, grad = kernel_value_grad_full(kernel, d)
+        val, grad = value_grad(kernel, d)
         proj = np.einsum("pk,pk->p", tau[ni], grad)
         contrib = (w[ni] * proj)[:, None] * tau[ni]
         fv[:, 0] += np.bincount(ti, weights=contrib[:, 0], minlength=m)
@@ -187,15 +220,16 @@ def direct_lattice_sums_tree(V, kernel, cells):
     return mass, fv
 
 
-def direct_gather_tree(V, kernel, sg, points):
+def direct_gather_tree(V, kernel, sg, points, annulus=False):
     """Phi_eps * h_tilde and its Jacobian J[:, a, b] = d h_b / d x_a at
     points by KD-tree pair lists over the lattice cells, the reference for
-    the direct gather of varifold.h_eps_at."""
+    varifold.h_eps_at; with annulus=True those of the annulus term alone."""
+    value_grad, radius = _term(kernel, annulus)
     m = len(points)
     h, J = np.zeros((m, 2)), np.zeros((m, 2, 2))
-    for ti, gi in _tree_pairs(V.domain, sg.points, points, kernel.trunc_radius):
+    for ti, gi in _tree_pairs(V.domain, sg.points, points, radius):
         d = V.domain.delta(points[ti], sg.points[gi])  # cell - point
-        val, grad = kernel_value_grad_full(kernel, d)
+        val, grad = value_grad(kernel, d)
         # d/dx Phi(g - x) = -(grad Phi)(g - x)
         contrib_j = -grad[:, :, None] * sg.h_tilde[gi][:, None, :] * sg.cell
         for a in range(2):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from grainflow.kernels import (Kernel, PSI_GRAD_BOUND, PSI_HESS_BOUND,
                                kernel_normalize, psi, psi_prime, psi_second)
 
-from oracles import (C_EPS_HALF, C_EPS_TENTH, kernel_mass_oracle,
+from oracles import (C_EPS_HALF, C_EPS_TENTH, gaussian, kernel_mass_oracle,
                      kernel_normalize_quad, kernel_value_grad_full)
 
 
@@ -104,7 +104,7 @@ def test_product_rule_identity():
             unit = np.where(r[:, None] > 0, x / np.where(r[:, None] > 0,
                                                          r[:, None], 1.0), 0.0)
         rhs = eps**2 * k.c_eps * psi_prime(r)[:, None] * unit * \
-            k.gauss(x)[:, None]
+            gaussian(eps, x)[:, None]
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -144,7 +144,7 @@ def test_radial_boundary_matches_full_profile(eps):
         assert _bits(v0) == _bits(val_ref[i])
         assert _bits(f0 * d[i]) == _bits(grad_ref[i])
         assert _bits(k.value_r2(float(r2[i]))) == _bits(val_ref[i])
-    # an (n, W, W) block of window cells, as the direct lattice sums pass it
+    # an (n, W, W) block of squared radii
     rng = np.random.default_rng(7)
     dd = rng.uniform(-0.7, 0.7, (3, 5, 4, 2))
     dd[0, 0, 0] = d[3]
@@ -157,9 +157,38 @@ def test_radial_boundary_matches_full_profile(eps):
     assert _bits(k.value_r2(rr)) == _bits(val_ref)
 
 
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.2, 0.5])
+def test_annulus_is_kernel_minus_gaussian(eps):
+    # within tail_radius, c PhiHat plus the annulus term is Phi_eps in value
+    # and gradient; the term is exactly zero on r <= 1/2 and beyond
+    # tail_radius
+    k = Kernel.make(eps)
+    rng = np.random.default_rng(17)
+    r = np.r_[0.0, 0.25, 0.5, np.nextafter(0.5, 1.0), 0.75, 1.0,
+              k.tail_radius, np.nextafter(k.tail_radius, 2.0), 2.0 * k.tail_radius,
+              rng.uniform(0.0, 1.5, 300)]
+    th = rng.uniform(0.0, 2.0 * np.pi, len(r))
+    d = r[:, None] * np.column_stack([np.cos(th), np.sin(th)])
+    r2 = np.sum(d * d, axis=-1)
+    val, factor = k.annulus_r2(r2)
+    assert val.shape == factor.shape == r2.shape
+    quiet = (r2 <= 0.25) | (r2 > k.tail_radius ** 2)
+    assert np.all(val[quiet] == 0.0) and np.all(factor[quiet] == 0.0)
+    assert np.all(val <= 0.0)
+    ref, ref_grad = kernel_value_grad_full(k, d)
+    g = k.c_eps * gaussian(eps, d)
+    # the Gaussian's gradient at d is -d/eps^2 times its value
+    grad = (factor - g / eps**2)[:, None] * d
+    inside = r2 <= k.tail_radius ** 2
+    scale = k.c_eps / (2.0 * np.pi * eps * eps)
+    assert np.max(np.abs(g + val - ref)[inside]) <= 1e-15 * scale
+    assert np.max(np.abs(grad - ref_grad)[inside]) <= 1e-15 * scale / eps
+
+
 def test_trunc_radius():
     assert Kernel.make(0.05).trunc_radius == pytest.approx(0.3)
     assert Kernel.make(0.5).trunc_radius == 1.0
+    assert Kernel.make(0.5).tail_radius == 3.0
 
 
 @settings(max_examples=40, deadline=None)

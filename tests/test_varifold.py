@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,11 +10,11 @@ from grainflow.domain import plane, torus
 from grainflow.kernels import Kernel
 from grainflow.network import Edge, LabeledNetwork
 from grainflow.scenes import parse_scene, voronoi_scene
-from grainflow.varifold import (VarifoldView, _gather_windows,
-                                build_varifold_view, curvature_and_energy,
-                                first_variation, h_eps_at, l2_energy,
-                                omega_mass, smoothed_mean_curvature,
-                                smoothing_grid, weighted_first_variation)
+from grainflow.varifold import (VarifoldView, build_varifold_view,
+                                curvature_and_energy, first_variation,
+                                h_eps_at, l2_energy, omega_mass,
+                                smoothed_mean_curvature, smoothing_grid,
+                                weighted_first_variation)
 from grainflow.weights import const_weight, make_test_function
 
 from oracles import (direct_gather_tree, direct_lattice_sums_tree,
@@ -93,6 +94,11 @@ line y=0.25 left=1 right=2
 line y=0.75 left=2 right=1
 """
 
+TORUS_CIRCLE = """domain torus
+labels 2
+circle center=(0.5,0.5) r=0.3 n=256 inside=1 outside=2
+"""
+
 
 def test_straight_line_curvature_vanishes():
     net = parse_scene(TORUS_LINE, h_max=0.0125)
@@ -126,29 +132,40 @@ def test_energy_scaling_smaller_circle():
         4.0 * np.pi, rel=0.1)
 
 
-def test_separable_and_direct_paths_agree(monkeypatch):
+def _direct_curvature(V, k, om, targets):
+    """h_eps and its Jacobian at targets and the energy from the KD-tree
+    direct sums of the truncated kernel on the view's lattice cells."""
+    sg = smoothing_grid(V, k, om)
+    mass, fv = direct_lattice_sums_tree(V, k, sg.points)
+    denom = mass + k.eps * om.inv_value(sg.points)
+    ref = dataclasses.replace(sg, h_tilde=-fv / denom[:, None])
+    h, J = direct_gather_tree(V, k, ref, targets)
+    energy = float(np.sum(om.value(sg.points) * np.sum(fv * fv, axis=1)
+                          / denom) * sg.cell)
+    return h, J, energy
+
+
+def test_separable_and_direct_paths_agree():
+    # the separable Gaussian rows against the direct sums of the kernel
+    # truncated at 6 eps (KD-tree pairs) on the same eps/2 lattice, where no
+    # annulus correction runs; residual: the Gaussian tail the rows keep
     om = const_weight()
     k = Kernel.make(0.05)
     net = parse_scene(CIRCLE, h_max=0.0125)
     targets = net.vertices[:32]
-    V1 = build_varifold_view(net, om)
-    sg = smoothing_grid(V1, k, om)
-    assert sg.separable and sg.lattice.sp == k.eps / 2.0
-    h_sep, e_sep = curvature_and_energy(V1, k, om, targets)
-    # force the direct truncated-kernel sums, which run on the eps/4 lattice
-    monkeypatch.setattr(vf, "_separable", lambda *a: False)
-    V2 = build_varifold_view(net, om)
-    h_direct = h_eps_at(V2, k, om, targets)
-    e_direct = l2_energy(V2, k, om)
-    # residual: the ball-vs-square truncation shape and the two lattices
+    V = build_varifold_view(net, om)
+    sg = smoothing_grid(V, k, om)
+    assert len(sg.stencil[0]) == 0 and sg.lattice.sp == k.eps / 2.0
+    h_sep, e_sep = curvature_and_energy(V, k, om, targets)
+    h_direct, _, e_direct = _direct_curvature(V, k, om, targets)
     assert np.max(np.abs(h_sep - h_direct)) < 1e-5
     assert e_sep == pytest.approx(e_direct, rel=1e-5)
 
 
-def test_torus_separable_matches_direct_oracle(monkeypatch):
+def test_torus_separable_matches_direct_oracle():
     # eps small enough that a full torus lattice would hold 1.0e6 cells at
-    # the separable spacing 1/ceil(2/eps), and 4.2e6 at the direct path's
-    # 1/ceil(4/eps); the tiles near the carrier hold a fraction of them
+    # the spacing 1/ceil(2/eps); the tiles near the carrier hold a fraction
+    # of them, and the direct sums run over those
     eps = 0.00196
     om = const_weight()
     k = Kernel.make(eps)
@@ -159,13 +176,10 @@ circle center=(0.5,0.5) r=0.2 n=512 inside=1 outside=2
     net = parse_scene(scene, h_max=0.01)
     V = build_varifold_view(net, om)
     sg = smoothing_grid(V, k, om)
-    assert sg.separable and sg.lattice.sp == 1.0 / np.ceil(2.0 / eps)
+    assert len(sg.stencil[0]) == 0 and sg.lattice.sp == 1.0 / np.ceil(2.0 / eps)
     targets = net.vertices[:24]
     h_sep, e_sep = curvature_and_energy(V, k, om, targets)
-    monkeypatch.setattr(vf, "_separable", lambda *a: False)
-    V2 = build_varifold_view(net, om)
-    h_ref = h_eps_at(V2, k, om, targets)
-    e_ref = l2_energy(V2, k, om)
+    h_ref, _, e_ref = _direct_curvature(V, k, om, targets)
     assert e_sep == pytest.approx(e_ref, rel=1e-5)
     assert np.max(np.abs(h_sep - h_ref)) < 1e-4 * np.max(np.abs(h_ref))
     # the curvature of the radius-0.2 circle is resolved at this eps
@@ -177,6 +191,22 @@ def _eighth_spacing(kernel, domain):
     return (1.0 / m if m else kernel.eps / 8.0), m
 
 
+def _against_eighth(monkeypatch, net, eps):
+    """(h, energy) at the vertices on the chosen lattice and on one of
+    spacing eps/8, and the chosen SmoothingGrid."""
+    om, k = const_weight(), Kernel.make(eps)
+    V = build_varifold_view(net, om)
+    h, energy = curvature_and_energy(V, k, om, net.vertices)
+    sg = smoothing_grid(V, k, om)
+    with monkeypatch.context() as mp:
+        mp.setattr(vf, "_spacing", _eighth_spacing)
+        V_ref = build_varifold_view(net, om)
+        h_ref, e_ref = curvature_and_energy(V_ref, k, om, net.vertices)
+        ref_sp = smoothing_grid(V_ref, k, om).lattice.sp
+        assert ref_sp == _eighth_spacing(k, net.domain)[0] < sg.lattice.sp / 1.5
+    return h, energy, h_ref, e_ref, sg
+
+
 def test_lattice_spacing_error_budget(monkeypatch):
     # The error bound the chosen lattice spacing is accepted on: h_eps at the
     # vertices and the energy against a lattice of spacing eps/8, on a plane
@@ -184,31 +214,35 @@ def test_lattice_spacing_error_budget(monkeypatch):
     # 1.9e-9 on the circle; 2.3e-7 and 2.2e-8 on the torus (seeds 1, 2, 3
     # and 7 of the same family reach at most 3.7e-6 and 2.9e-7)
     eps = 0.05
-    om = const_weight()
-    k = Kernel.make(eps)
     for net in (parse_scene(CIRCLE, h_max=0.0125),
                 voronoi_scene(8, 42, h_max=0.0125)):
-        V = build_varifold_view(net, om)
-        sg = smoothing_grid(V, k, om)
+        h, energy, h_ref, e_ref, sg = _against_eighth(monkeypatch, net, eps)
         m = int(np.ceil(2.0 / eps)) if net.domain.periodic else 0
-        assert sg.separable and sg.lattice.m == m
+        assert len(sg.stencil[0]) == 0 and sg.lattice.m == m
         assert sg.lattice.sp == (1.0 / m if m else eps / 2.0)
         assert sg.lattice.S == 16
-        h, energy = curvature_and_energy(V, k, om, net.vertices)
-        with monkeypatch.context() as mp:
-            mp.setattr(vf, "_spacing", _eighth_spacing)
-            V_ref = build_varifold_view(net, om)
-            h_ref, e_ref = curvature_and_energy(V_ref, k, om, net.vertices)
-            assert smoothing_grid(V_ref, k, om).lattice.sp < sg.lattice.sp / 3.0
         assert np.max(np.abs(h - h_ref)) <= 1e-5 * np.max(np.abs(h_ref))
         assert energy == pytest.approx(e_ref, rel=1e-6)
-    # the kernel does not factor at eps 0.2 on the torus: the direct sums
-    # keep spacing 1/ceil(4/eps) and 32-cell tiles
-    eps = 0.2
-    sg = smoothing_grid(build_varifold_view(parse_scene(TORUS_LINE), om),
-                        Kernel.make(eps), om)
-    assert not sg.separable
-    assert sg.lattice.sp == 1.0 / np.ceil(4.0 / eps) and sg.lattice.S == 32
+    # where 6 eps > 1/2 the annulus correction runs and the lattice is eps/4,
+    # 32-cell tiles.  The 512-gon plane at eps 0.1, measured: h 8.3e-10 of
+    # max|h|, energy 4.1e-10; the bounds are the errors of the square-window
+    # direct sums that this route replaced, 8.5e-10 and 8.4e-10
+    net = parse_scene(CIRCLE.replace("n=256", "n=512"), h_max=0.025)
+    h, energy, h_ref, e_ref, sg = _against_eighth(monkeypatch, net, 0.1)
+    assert len(sg.stencil[0]) and sg.lattice.sp == 0.1 / 4.0
+    assert sg.lattice.S == 32
+    assert np.max(np.abs(h - h_ref)) <= 8.4e-10 * np.max(np.abs(h_ref))
+    assert energy == pytest.approx(e_ref, rel=8.4e-10)
+    # The two-line torus at eps 0.2 (m = 20, every window the whole period):
+    # h and the energy vanish by symmetry up to 2.7e-8 and 3e-13, but the
+    # eps/8 lattice reads 6.27e-5 and 7.73e-5, since the minimum-image kernel
+    # is cut at half the period where it is e^-3 of its peak.  The bounds are
+    # the replaced direct sums' errors, 6.2727e-5 and 7.7340e-5
+    h, energy, h_ref, e_ref, sg = _against_eighth(
+        monkeypatch, parse_scene(TORUS_LINE, h_max=0.05), 0.2)
+    assert sg.lattice.whole and sg.lattice.sp == 1.0 / np.ceil(4.0 / 0.2)
+    assert np.max(np.abs(h - h_ref)) <= 6.273e-5
+    assert abs(energy - e_ref) <= 7.734e-5
 
 
 def test_separable_jacobian_matches_direct_sum():
@@ -217,10 +251,10 @@ def test_separable_jacobian_matches_direct_sum():
     net = parse_scene(CIRCLE, h_max=0.0125)
     V = build_varifold_view(net, om)
     sg = smoothing_grid(V, k, om)
-    assert sg.separable
+    assert len(sg.stencil[0]) == 0
     targets = net.vertices[::8]
     h, J = h_eps_at(V, k, om, targets, want_jacobian=True)
-    h_ref, J_ref = _gather_windows(sg, k, targets, want_jacobian=True)
+    h_ref, J_ref = direct_gather_tree(V, k, sg, targets)
     # the same lattice field read by the product of Gaussian rows and by the
     # kernel truncated at 6 eps: they differ by the Gaussian tail, e^-18 in
     # value and 6 e^-18 ~ 1e-7 in the derivative
@@ -253,12 +287,12 @@ circle center=(0.6,0.6) r=0.3 n=160 inside=1 outside=3
 @pytest.mark.parametrize("domain", [plane(), torus()])
 @pytest.mark.parametrize("eps", [0.05, 0.1])
 def test_empty_view_has_zero_curvature(domain, eps):
-    # no stored tiles on either kernel path (separable at 0.05, direct at 0.1)
+    # no stored tiles, with and without the annulus correction (eps 0.1, 0.05)
     z = np.zeros((0, 2))
     V = VarifoldView(domain, z, z, z, np.zeros(0), const_weight())
     om, k = const_weight(), Kernel.make(eps)
     h, energy = curvature_and_energy(V, k, om, np.full((3, 2), 0.5))
-    assert smoothing_grid(V, k, om).separable == (eps == 0.05)
+    assert (len(smoothing_grid(V, k, om).stencil[0]) == 0) == (eps == 0.05)
     assert energy == 0.0 and np.array_equal(h, np.zeros((3, 2)))
 
 
@@ -294,34 +328,93 @@ def test_curvature_sup_bound_respected():
     assert np.max(np.linalg.norm(h, axis=1)) <= 2.0 / k.eps**2
 
 
-def _check_windows_against_tree(V, eps, targets):
-    """Direct window sums against the KD-tree pair lists on the same lattice.
+# The separable rows keep the Gaussian beyond tail_radius = 6 eps out to the
+# tile window's edge, below e^-18 = 1.5e-8 of its peak at every node, where
+# the truncated kernel of the direct sums is cut; relative to the largest
+# value, the lattice sums and the gather differ from the KD-tree pairs by
+# at most this much (measured over 300 random scenes: 1.6e-7, in the
+# Jacobian at eps 0.1)
+_TAIL_TOL = 3e-7
 
-    The lattice sums add each cell's nodes in the same ascending order, so
-    they are bit-equal; the gather may add a point's cells in another order.
+
+def _rel_err(a, b):
+    return np.max(np.abs(a - b), initial=0.0) / max(np.max(np.abs(b), initial=0.0),
+                                                     1e-300)
+
+
+def _check_stencil_cover(lat, stencil, pts, kernel):
+    """Every lattice cell with 1/2 < r <= tail_radius from a point is one of
+    its stencil cells, and its stencil cells are distinct (mod m)."""
+    ox, oy = lat.offsets()[stencil[0]], lat.offsets()[stencil[1]]
+    reach = int(np.ceil(kernel.tail_radius / lat.sp)) + 1
+    for p in pts:
+        q = np.mod(p, 1.0) if lat.m else p
+        c = np.floor(q / lat.sp).astype(np.int64)
+        ux, uy = c[0] + ox, c[1] + oy
+        axes = [np.arange(lat.m) if lat.m else np.arange(ci - reach, ci + reach + 1)
+                for ci in c]
+        if lat.m:
+            ux, uy = np.mod(ux, lat.m), np.mod(uy, lat.m)
+        have = set(zip(ux.tolist(), uy.tolist()))
+        assert len(have) == len(ox)
+        gx, gy = np.meshgrid(*axes, indexing="ij")
+        d = (np.stack([gx, gy], axis=-1) + 0.5) * lat.sp - q
+        if lat.m:
+            d -= np.round(d)
+        r2 = np.sum(d * d, axis=-1)
+        need = (r2 > 0.25) & (r2 <= kernel.tail_radius ** 2)
+        assert set(zip(gx[need].tolist(), gy[need].tolist())) <= have
+
+
+def _check_lattice_against_tree(V, eps, targets):
+    """The lattice sums and the gather against KD-tree pair lists on the
+    same lattice.
+
+    The annulus correction alone, summed over the stencil cells, matches the
+    pairs within tail_radius up to roundoff (measured at most 6.2e-12 of the
+    largest value, on the two-line torus, where fv nearly cancels); the
+    whole route matches the truncated kernel's pairs up to the Gaussian tail
+    (_TAIL_TOL).  Returns the SmoothingGrid.
     """
     om = const_weight()
     k = Kernel.make(eps)
     sg = smoothing_grid(V, k, om)
-    assert not sg.separable
-    mass, fv = direct_lattice_sums_tree(V, k, sg.points)
-    assert np.array_equal(sg.mass, mass) and np.array_equal(sg.fv, fv)
+    lat = sg.lattice
+    x, w, tau, _, _ = V.quad_nodes(min(V.h_sub, eps))
+    assert (len(sg.stencil[0]) > 0) == (6.0 * eps > 0.5)
+    if len(sg.stencil[0]):
+        _check_stencil_cover(lat, sg.stencil, np.concatenate([x[::5], targets]), k)
+    # the annulus correction's direct sums, in and out of the lattice
+    store = np.zeros((3, len(lat.keys) * lat.S * lat.S))
+    h_a, J_a = np.zeros((len(targets), 2)), np.zeros((len(targets), 2, 2))
     if len(sg.points):
-        denom = mass + eps * om.inv_value(sg.points)
-        energy = float(np.sum(om.value(sg.points) * np.sum(fv * fv, axis=1)
-                              / denom) * sg.cell)
-    else:
-        energy = 0.0
-    assert l2_energy(V, k, om) == energy
-    h, J = h_eps_at(V, k, om, targets, want_jacobian=True)
+        vf._accumulate_annulus(lat, sg.stencil, k, x, w, tau, store)
+        H = np.zeros(((len(lat.keys) + 1) * lat.S * lat.S, 2))
+        H[sg.flat] = sg.h_tilde
+        vf._gather_annulus(sg, k, targets, H, h_a, J_a)
+    mass_a, fv_a = direct_lattice_sums_tree(V, k, sg.points, annulus=True)
+    assert _rel_err(store[0, sg.flat], mass_a) <= 1e-10
+    assert _rel_err(store[1:, sg.flat].T, fv_a) <= 1e-10
     if len(sg.points):
-        h_ref, J_ref = direct_gather_tree(V, k, sg, targets)
+        h_ref, J_ref = direct_gather_tree(V, k, sg, targets, annulus=True)
     else:
         h_ref, J_ref = np.zeros((len(targets), 2)), np.zeros((len(targets), 2, 2))
-    assert np.max(np.abs(h - h_ref), initial=0.0) <= 1e-13 * np.max(
-        np.abs(h_ref), initial=0.0)
-    assert np.max(np.abs(J - J_ref), initial=0.0) <= 1e-13 * np.max(
-        np.abs(J_ref), initial=0.0)
+    assert _rel_err(h_a, h_ref) <= 1e-10 and _rel_err(J_a, J_ref) <= 1e-10
+    # the whole route
+    mass, fv = direct_lattice_sums_tree(V, k, sg.points)
+    errs = [_rel_err(sg.mass, mass), _rel_err(sg.fv, fv)]
+    if len(sg.points):
+        denom = sg.mass + eps * om.inv_value(sg.points)
+        energy = float(np.sum(om.value(sg.points) * np.sum(sg.fv * sg.fv, axis=1)
+                              / denom) * sg.cell)
+        h_ref, J_ref = direct_gather_tree(V, k, sg, targets)
+    else:
+        energy = 0.0
+        h_ref, J_ref = np.zeros((len(targets), 2)), np.zeros((len(targets), 2, 2))
+    assert l2_energy(V, k, om) == energy
+    h, J = h_eps_at(V, k, om, targets, want_jacobian=True)
+    errs += [_rel_err(h, h_ref), _rel_err(J, J_ref)]
+    assert max(errs) <= _TAIL_TOL
     return sg
 
 
@@ -335,8 +428,8 @@ def _closed_view(domain, verts):
 
 
 @st.composite
-def direct_scenes(draw):
-    """(view, eps, gather targets) on the direct-kernel lattice path."""
+def lattice_scenes(draw):
+    """(view, eps, gather targets) with and without the annulus correction."""
     kind = draw(st.sampled_from(["ngon", "torus-circle", "torus-period",
                                  "torus-lines", "empty"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -348,8 +441,9 @@ def direct_scenes(draw):
         # off the carrier as far as windows over tiles that are not stored
         off = c + rng.uniform(-3.0, 3.0, (24, 2))
     elif kind == "torus-circle":
-        # m = 58 cells per period (phantom cells in the last tile), windows
-        # of 51 cells, circles across the seam
+        # no correction at 6 eps = 0.42; m = 29 cells per period (phantom
+        # cells in the last tile), tile windows of 42 cells that wrap past
+        # the period, circles across the seam
         eps = 0.07
         c = rng.uniform(0.0, 1.0, 2) if rng.random() < 0.5 else rng.choice(
             [0.02, 0.98], 2)
@@ -357,9 +451,9 @@ def direct_scenes(draw):
                                                     rng.uniform(0.05, 0.3)))
         off = rng.uniform(-0.5, 1.5, (24, 2))
     elif kind == "torus-period":
-        # m = 40, k = 24: every window is the whole period, shared by all
-        # points, across two tiles per axis with phantom cells in the second;
-        # n-gons across the seam
+        # m = 40, k = 25: every window is the whole period, across two tiles
+        # per axis with phantom cells in the second, and the stencil leaves
+        # out the corners beyond tail_radius; n-gons across the seam
         eps = 0.1
         c = rng.choice([0.02, 0.98], 2)
         V = _closed_view(torus(), c + ngon_vertices(draw(st.integers(3, 40)),
@@ -382,51 +476,74 @@ def direct_scenes(draw):
 
 
 @settings(max_examples=30, deadline=None)
-@given(direct_scenes())
+@given(lattice_scenes())
 def test_windows_match_tree_pairs(scene):
-    _check_windows_against_tree(*scene)
+    _check_lattice_against_tree(*scene)
 
 
 def test_chunked_windows_match_tree_pairs():
-    # 1,024 nodes of 49 x 49 cells fill many window chunks, and so do the
-    # 1,024 node targets of the gather
+    # 1,024 nodes of 716 stencil cells fill many chunks, and so do the 1,024
+    # node targets of the gather
     net = parse_scene(CIRCLE.replace("r=1 n=256", "r=0.5 n=128"), h_max=0.0125)
     V = build_varifold_view(net, const_weight())
     x = V.quad_nodes(0.0125)[0]
-    sg = _check_windows_against_tree(V, 0.1, x)
-    w = 2 * sg.lattice.k + 1
-    assert len(x) * w * w > 4 * vf._WINDOW_CHUNK
-    # the shared whole-period window of the two-line torus: the seeded
-    # reduction carries each cell's sum across chunk boundaries
+    sg = _check_lattice_against_tree(V, 0.1, x)
+    assert len(x) * len(sg.stencil[0]) > 4 * vf._CHUNK
+    # the whole-period stencil of the two-line torus, each cell of the
+    # period once, over several chunks
     V = build_varifold_view(parse_scene(TORUS_LINE, h_max=0.05), const_weight())
     x = V.quad_nodes(0.05)[0]
-    sg = _check_windows_against_tree(V, 0.2, x)
-    chunks = list(vf._windows(sg.lattice, x, Kernel.make(0.2).trunc_radius))
-    assert chunks[0][1].ndim == 2 and len(chunks) >= 4
-    # trunc_radius^2 = 1 >= 1/2: every minimum-image cell is within reach,
-    # so no chunk carries a mask
-    assert all(c[5] is None for c in chunks)
-    # the torus-period scene shares the whole-period window too, but
-    # trunc_radius^2 = 0.36 < 1/2 keeps its mask
+    sg = _check_lattice_against_tree(V, 0.2, x)
+    assert sg.lattice.whole and len(x) * len(sg.stencil[0]) > 2 * vf._CHUNK
+    # the torus-period scene: a whole period too, but tail_radius^2 = 0.36
+    # < 1/2 leaves the corner cells out of the stencil
     rng = np.random.default_rng(5)
     V = _closed_view(torus(), np.array([0.02, 0.98]) + ngon_vertices(40, 0.3))
     x = V.quad_nodes(0.1)[0]
-    sg = _check_windows_against_tree(V, 0.1, np.concatenate(
+    sg = _check_lattice_against_tree(V, 0.1, np.concatenate(
         [x, rng.uniform(-0.5, 1.5, (24, 2))]))
-    chunks = list(vf._windows(sg.lattice, x, Kernel.make(0.1).trunc_radius))
-    assert chunks[0][1].ndim == 2 and len(chunks) >= 2
-    assert all(c[5] is not None and not c[5].all() for c in chunks)
+    half = sg.lattice.m // 2
+    assert sg.lattice.whole and len(x) * len(sg.stencil[0]) > 2 * vf._CHUNK
+    ox, oy = sg.lattice.offsets()[sg.stencil[0]], sg.lattice.offsets()[sg.stencil[1]]
+    for o in (ox, oy):
+        assert o.min() >= -half and o.max() < half
+    assert not ((np.abs(ox) >= half - 1) & (np.abs(oy) >= half - 1)).any()
+
+
+@pytest.mark.parametrize("scene, h_max, eps", [
+    (CIRCLE.replace("n=256", "n=128"), 0.05, 0.1),
+    (CIRCLE.replace("n=256", "n=64"), 0.05, 0.2),
+    (CIRCLE.replace("n=256", "n=32"), 0.1, 0.5),
+    (TORUS_CIRCLE, 0.05, 0.2),
+], ids=["plane-0.1", "plane-0.2", "plane-0.5", "torus-0.2"])
+def test_lattice_fill_matches_direct_sums(scene, h_max, eps):
+    # where the annulus correction runs, Gaussian rows plus the correction
+    # fill the lattice with the truncated kernel's direct sums (KD-tree
+    # pairs) up to the Gaussian tail beyond 6 eps, _TAIL_TOL of the largest
+    # value; on the torus at eps 0.2 every cell of the period is within
+    # 6 eps, so no tail is left and they agree to roundoff (1e-14)
+    net = parse_scene(scene, h_max=h_max)
+    om, k = const_weight(), Kernel.make(eps)
+    V = build_varifold_view(net, om)
+    sg = smoothing_grid(V, k, om)
+    assert len(sg.stencil[0]) and sg.lattice.sp == (
+        1.0 / np.ceil(4.0 / eps) if net.domain.periodic else eps / 4.0)
+    mass, fv = direct_lattice_sums_tree(V, k, sg.points)
+    tol = 1e-14 if net.domain.periodic else _TAIL_TOL
+    assert _rel_err(sg.mass, mass) <= tol and _rel_err(sg.fv, fv) <= tol
 
 
 @pytest.mark.parametrize("scene, h_max, eps, bound_mib", [
-    # before the window chunks shrank to 8,192 cells: 4.71 MiB; after: 0.98
+    # measured: 0.54 MiB
     (TORUS_LINE, 0.05, 0.2, 2.0),
-    # before: 8.08 MiB; after: 3.16
+    # measured: 4.60 MiB, of which the lattice fields held on the view are
+    # 2.1 and the windows' store index 0.65
     (CIRCLE.replace("n=256", "n=512"), 0.0125, 0.1, 5.0),
 ])
 def test_direct_curvature_peak_memory(scene, h_max, eps, bound_mib):
-    # the direct sums hold no temporary larger than a window chunk, so one
-    # warm call's traced peak stays near the size of the lattice store
+    # the annulus correction holds no temporary larger than a stencil chunk
+    # and the Gaussian rows none larger than one tile's window, so one warm
+    # call's traced peak stays near the size of the lattice store
     net = parse_scene(scene, h_max=h_max)
     om, k = const_weight(), Kernel.make(eps)
     curvature_and_energy(build_varifold_view(net, om), k, om, net.vertices)
@@ -437,7 +554,7 @@ def test_direct_curvature_peak_memory(scene, h_max, eps, bound_mib):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not smoothing_grid(V, k, om).separable
+    assert len(smoothing_grid(V, k, om).stencil[0])
     assert peak <= bound_mib * 2**20
 
 
